@@ -115,10 +115,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         grid=grid,
         code=getattr(args, "code", "ns"),
         out=getattr(args, "out", None),
-        gap_tol=args.gap_tol,
-        feas_tol=args.feas_tol,
-        max_iter=args.max_iter,
-        dump_path=args.dump_problem,
+        gap_tol=getattr(args, "gap_tol", 1e-8),
+        feas_tol=getattr(args, "feas_tol", 1e-8),
+        max_iter=getattr(args, "max_iter", 200),
+        dump_path=getattr(args, "dump_problem", None),
         jobs=jobs,
     )
 
@@ -273,20 +273,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 def _depol_rows_for_n(task) -> list[tuple]:
-    n, d, p, eps_values, qes, gap_tol, feas_tol, max_iter, dump_path = task
+    n, d, p, eps_values, qes = task
     rows = []
     for eps, qe in zip(eps_values, qes):
-        res = depolarizing_cost_lp(
-            n,
-            d,
-            p,
-            eps,
-            gap_tol=gap_tol,
-            feas_tol=feas_tol,
-            max_iter=max_iter,
-            dump_path=dump_path,
-        )
-        dump_path = None
+        res = depolarizing_cost_lp(n, d, p, eps)
         rows.append(
             (
                 n,
@@ -334,17 +324,13 @@ def emit_figure2(
     path: str,
     *,
     d: int = 2,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
     jobs: int = 1,
-    dump_path: str | None = None,
 ) -> int:
     """Write the per-use depolarizing cost curves to a CSV file.
 
     One row per blocklength n in 1..n_max and tolerance eps, columns
     n, eps, cost_total_bits, cost_per_use, unceiled_per_use, qe_asymptote.
-    All rows are computed before the file is opened, so a failed solve
+    All rows are computed before the file is opened, so a failing point
     leaves no partial file behind. Returns the number of rows written.
     """
     p = float(p)
@@ -355,20 +341,7 @@ def emit_figure2(
         raise ValueError("eps_list must name at least one tolerance")
     qe = depolarizing_mutual_info(d, p) / 2.0
     qes = (qe,) * len(eps_values)
-    tasks = [
-        (
-            n,
-            d,
-            p,
-            eps_values,
-            qes,
-            gap_tol,
-            feas_tol,
-            max_iter,
-            dump_path if n == 1 else None,
-        )
-        for n in range(1, n_max + 1)
-    ]
+    tasks = [(n, d, p, eps_values, qes) for n in range(1, n_max + 1)]
     chunks = _run_tasks(_depol_rows_for_n, tasks, jobs)
     rows = [row for chunk in chunks for row in chunk]
     _write_csv(
@@ -385,20 +358,7 @@ def _cmd_depol_scan(cfg: RunConfig) -> int:
         raise ValueError("depol-scan requires --p")
     eps = cfg.eps if cfg.eps is not None else 0.0
     qe = depolarizing_mutual_info(cfg.d, cfg.p) / 2.0
-    tasks = [
-        (
-            n,
-            cfg.d,
-            cfg.p,
-            (eps,),
-            (qe,),
-            cfg.gap_tol,
-            cfg.feas_tol,
-            cfg.max_iter,
-            cfg.dump_path if n == 1 else None,
-        )
-        for n in range(1, cfg.n_max + 1)
-    ]
+    tasks = [(n, cfg.d, cfg.p, (eps,), (qe,)) for n in range(1, cfg.n_max + 1)]
     chunks = _run_tasks(_depol_rows_for_n, tasks, cfg.jobs)
     rows = [row for chunk in chunks for row in chunk]
     _write_csv(
@@ -413,18 +373,7 @@ def _cmd_depol_scan(cfg: RunConfig) -> int:
 
 def _cmd_figure2(cfg: RunConfig) -> int:
     p = cfg.p if cfg.p is not None else 0.15
-    count = emit_figure2(
-        p,
-        cfg.eps_list,
-        cfg.n_max,
-        cfg.out,
-        d=cfg.d,
-        gap_tol=cfg.gap_tol,
-        feas_tol=cfg.feas_tol,
-        max_iter=cfg.max_iter,
-        jobs=cfg.jobs,
-        dump_path=cfg.dump_path,
-    )
+    count = emit_figure2(p, cfg.eps_list, cfg.n_max, cfg.out, d=cfg.d, jobs=cfg.jobs)
     print(f"wrote {cfg.out} ({count} rows)")
     return 0
 
@@ -467,7 +416,7 @@ _HANDLERS = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, *, jobs: bool = False) -> None:
+def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gap-tol", type=float, default=1e-8)
     sub.add_argument("--feas-tol", type=float, default=1e-8)
     sub.add_argument("--max-iter", type=int, default=200)
@@ -477,13 +426,15 @@ def _add_common_flags(sub: argparse.ArgumentParser, *, jobs: bool = False) -> No
         default=None,
         help="write the (first) conic problem as JSON before solving",
     )
-    if jobs:
-        sub.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker processes for sweeps (default: NSCOST_JOBS or 1)",
-        )
+
+
+def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes for sweeps (default: NSCOST_JOBS or 1)",
+    )
 
 
 def _add_channel_flags(sub: argparse.ArgumentParser) -> None:
@@ -509,11 +460,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(sub)
     sub.add_argument("--eps", type=float, default=0.0)
     sub.add_argument("--code", default="ns", help="code class: ns or ns-ppt")
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     sub = subs.add_parser("zero-error", help="zero-error simulation cost")
     _add_channel_flags(sub)
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     sub = subs.add_parser("diamond", help="half diamond distance of two channels")
     sub.add_argument("--a", required=True, help="first channel family or @file")
@@ -523,12 +474,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r", type=float, default=None)
     sub.add_argument("--pb", type=float, default=None, help="--p for channel b")
     sub.add_argument("--rb", type=float, default=None, help="--r for channel b")
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     sub = subs.add_parser("maxinfo", help="(smooth) channel max-information")
     _add_channel_flags(sub)
     sub.add_argument("--eps", type=float, default=None)
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     sub = subs.add_parser("classical-lp", help="classical channel cost LP")
     sub.add_argument(
@@ -537,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="row-stochastic matrix: 'a,b;c,d' or @file.json",
     )
     sub.add_argument("--eps", type=float, default=0.0)
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     sub = subs.add_parser("depol-scan", help="depolarizing LP blocklength sweep")
     sub.add_argument("--d", type=int, default=2)
@@ -545,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eps", type=float, required=True)
     sub.add_argument("--n-max", type=int, default=300)
     sub.add_argument("--out", required=True)
-    _add_common_flags(sub, jobs=True)
+    _add_jobs_flag(sub)
 
     sub = subs.add_parser("figure2", help="per-use cost curves CSV")
     sub.add_argument("--p", type=float, default=0.15)
@@ -553,17 +504,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-max", type=int, default=300)
     sub.add_argument("--d", type=int, default=2)
     sub.add_argument("--out", required=True)
-    _add_common_flags(sub, jobs=True)
+    _add_jobs_flag(sub)
 
     sub = subs.add_parser("figure3", help="zero-error cost of the four families")
     sub.add_argument("--d", type=int, default=2)
     sub.add_argument("--grid", type=int, default=101)
     sub.add_argument("--out", required=True)
-    _add_common_flags(sub, jobs=True)
+    _add_solver_flags(sub)
+    _add_jobs_flag(sub)
 
     sub = subs.add_parser("verify", help="closed form vs solver vs certificate")
     _add_channel_flags(sub)
-    _add_common_flags(sub)
+    _add_solver_flags(sub)
 
     return parser
 

@@ -46,9 +46,6 @@ __all__ = [
 
 _STEP_TO_BOUNDARY = 0.98
 _BIG_STEP = 1e16
-# Columns of a pure-LP constraint matrix touching at least this many rows are
-# split off and handled by a low-rank (Woodbury) update so the sparse normal
-# matrix keeps its fill-free structure.
 
 
 class SolverFailure(RuntimeError):

@@ -61,7 +61,9 @@ class CostResult:
             is half the (smooth) max-information of the channel.
         m_star: smallest integer m with m^2 >= tr_v_opt - 1e-6.
         cost_bits: log2 m_star, the dimension-ceiled cost.
-        delta: cost_bits - half_log_trv, the integrality correction in [0, 1].
+        delta: cost_bits - half_log_trv, the integrality correction in [0, 1];
+            clamped at 0 when tr_v_opt lies within the 1e-6 slack above
+            m_star^2.
     """
 
     tr_v_opt: float
@@ -133,7 +135,7 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
         half_log_trv=half,
         m_star=m_star,
         cost_bits=cost_bits,
-        delta=cost_bits - half,
+        delta=max(cost_bits - half, 0.0),
     )
 
 

@@ -103,7 +103,6 @@ def subsystem_permute(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray
         raise ValueError(f"perm {list(perm)} is not a permutation of 0..{k - 1}")
     t = a.reshape(list(dims) + list(dims))
     axes = list(perm) + [p + k for p in perm]
-    new_dims = [dims[p] for p in perm]
     n = math.prod(dims)
     return t.transpose(axes).reshape(n, n)
 

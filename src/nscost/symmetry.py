@@ -8,10 +8,11 @@ spectrum takes the value p_k = q1^k q2^(n-k) on a sector of relative weight
 
     w_k = C(n, k) (1/d)^k (d - 1/d)^(n-k),
 
-so the n-use cost program collapses to n+1 variable pairs. Everything here is
-assembled in the log domain: the weights and spectra span thousands of orders
-of magnitude long before n reaches 300, and the optimal level s itself can lie
-far below the range of double precision even though d^n s stays moderate.
+so the n-use cost program collapses to an LP over n+1 sectors, which
+waterfilling solves exactly. Everything here is assembled in the log domain:
+the weights and spectra span thousands of orders of magnitude long before n
+reaches 300, and the optimal level s itself can lie far below the range of
+double precision even though d^n s stays moderate.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .conic import HermitianProgram, SolverFailure, dump_problem, solve
-from .programs import CostResult, cost_result_from_trv
+from .programs import CostResult, _check_eps, cost_result_from_trv
 
 _NORMALIZATION_TOL = 1e-9
-_MASS_FLOOR = 1e-18
-_APRON = 6
 _MAX_LOG2_TRV = 1020.0
 
 
@@ -92,64 +91,32 @@ def _check_dp_args(n, d, p):
     return int(n), int(d), p
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"error tolerance must lie in [0, 1], got {eps}")
-    return eps
-
-
-def _coarse_cut(log_mass: np.ndarray, eps: float) -> int:
-    """Index of the sector where the eps-tail of the mass lands.
-
-    Walks the sector masses downward from k = n and returns the first index
-    whose cumulative mass exceeds eps. This is a deliberately coarse estimate
-    (no interpolation inside the cut sector); it only anchors the rescaling
-    of the LP, never the reported optimum.
-    """
-    cum = 0.0
-    for k in range(len(log_mass) - 1, -1, -1):
-        cum += math.exp(log_mass[k])
-        if cum > eps:
-            return k
-    return 0
-
-
-def depolarizing_cost_lp(
-    n: int,
-    d: int,
-    p: float,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> CostResult:
+def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     """Simulation cost of n uses of the depolarizing channel, via the sector LP.
 
-    Solves, over sector variables r_k (retained spectrum) and y_k (clipping
-    slack),
+    The sector LP, over retained spectrum r_k and clipping slack y_k,
 
         min s  s.t.  y_k - r_k + p_k >= 0,  y_k >= 0,  0 <= r_k <= s,
                      sum_k w_k r_k = 1,  sum_k w_k y_k <= eps,
 
-    and reports tr V = d^n s. The rescaled variables rt_k = w_k r_k and
-    yt_k = w_k y_k keep the equality row at unit coefficients, and s is
-    solved as a multiple of a coarse waterfilling estimate so the LP works
-    near 1 even when s underflows double precision. Sectors carrying mass
-    below 1e-18 are dropped, except for a six-sector apron below the
-    estimated clipping cut: those sectors can carry displaced mass even when
-    their own mass vanishes (at p = 0 every sector but k = n is massless, yet
-    the eps-ball still buys a (1 - eps) saving through them).
+    is solved exactly by waterfilling: clip every sector value at s and pay
+    the clipped mass out of the error budget, so
 
-    At eps = 0 no optimization is needed: the equality row pins r_k = p_k,
-    so s = max_k p_k = q1^n and tr V = (d q1)^n.
+        s* = max(d^-n, min{s : sum_k w_k (p_k - s)_+ <= eps}),
+
+    where d^-n = 1 / sum_k w_k is the lowest level that still holds unit
+    mass. Since p_k rises with k (q1 >= q2), the sectors above the water are
+    a head k..n. Walking k = n..0 with the head mass M and head weight W, the
+    level lands in the first head whose clipped mass M - p_(k-1) W at the next
+    sector down exceeds eps, at s = (M - eps) / W. W and s stay in the log
+    domain, and tr V = d^n s* is reported through its log2.
+
+    At eps = 0 no search is needed: s = max_k p_k = q1^n and
+    tr V = (d q1)^n.
 
     Raises:
         ValueError: on invalid arguments, or when log2 tr V would exceed the
             range representable in double precision.
-        SolverFailure: when no anchor in the retry ladder reaches optimality.
     """
     n, d, p = _check_dp_args(n, d, p)
     eps = _check_eps(eps)
@@ -164,107 +131,18 @@ def depolarizing_cost_lp(
     if eps == 0.0:
         return cost_result_from_trv(2.0**log2_cap, log2_trv=log2_cap)
 
-    log_mass = red.log_weights + red.log_spectrum
-    cut = _coarse_cut(log_mass, eps)
-    keep = np.flatnonzero(
-        (log_mass >= math.log(_MASS_FLOOR)) | (np.arange(n + 1) >= cut - _APRON)
-    )
-    masses = np.exp(log_mass[keep])
-    log_w = red.log_weights[keep]
-    # s = lam * sigma with lam the spectrum value at the cut sector, tracked
-    # only through its log so the LP sees sigma near 1. A massless cut sector
-    # (eps = 1 at p = 0) gets the tr V = 1 scale as anchor instead.
-    lam_log = float(red.log_spectrum[cut])
-    if not math.isfinite(lam_log):
-        lam_log = -n * math.log(d)
-
-    solver_kw = {
-        "gap_tol": gap_tol,
-        "feas_tol": feas_tol,
-        "max_iter": max_iter,
-        "dump_path": dump_path,
-    }
-    # Re-anchor and retry on two kinds of bad outcome: an optimal sigma far
-    # from 1 (the anchor guess was off, accuracy suffers), and a stalled or
-    # broken-down solve (a handful of blocklengths sit at degenerate vertices
-    # where one anchor stalls while a nearby one converges in few steps). The
-    # offsets are fixed, so repeated runs take identical paths.
-    log_s = None
-    offsets = (0.0, 1.1, -1.1, 2.2)
-    stalls = 0
-    for _ in range(6):
-        sol = _solve_sector_lp(masses, log_w, lam_log, eps, **solver_kw)
-        solver_kw["dump_path"] = None
-        if sol is not None and sol.status == "optimal":
-            sigma_opt = float(sol.primal_value)
-            log_s = lam_log + math.log(max(sigma_opt, 1e-300))
-            if 0.05 <= sigma_opt <= 20.0:
-                break
-            lam_log = log_s
-        else:
-            estimate = 1.0 if sol is None else float(sol.primal_value)
-            if not math.isfinite(estimate) or estimate <= 0.0:
-                estimate = 1.0
-            lam_log += math.log(estimate) + offsets[min(stalls, len(offsets) - 1)]
-            stalls += 1
-    if log_s is None:
-        raise SolverFailure(
-            "sector LP did not reach optimality after anchor retries",
-            status="max_iter",
-        )
+    # Index i below is the head k = n - i..n.
+    head_mass = np.cumsum(np.exp(red.log_weights + red.log_spectrum)[::-1])
+    log_head_weight = np.logaddexp.accumulate(red.log_weights[::-1])
+    log_next_level = np.append(red.log_spectrum[::-1][1:], -math.inf)
+    clipped = head_mass - np.exp(log_next_level + log_head_weight)
+    log_s = -n * math.log(d)
+    over = np.flatnonzero(clipped > eps)
+    if over.size:
+        i = over[0]
+        log_s = max(log_s, math.log(head_mass[i] - eps) - log_head_weight[i])
     log2_trv = n * math.log2(d) + log_s / math.log(2.0)
     return cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv)
-
-
-def _solve_sector_lp(
-    masses: np.ndarray,
-    log_w: np.ndarray,
-    lam_log: float,
-    eps: float,
-    *,
-    gap_tol: float,
-    feas_tol: float,
-    max_iter: int,
-    dump_path: str | None,
-):
-    """Solve the rescaled sector LP once; sigma = s / exp(lam_log).
-
-    Returns the conic solution, or None when the solve breaks down
-    numerically. The caller owns re-anchoring and retries.
-    """
-    m = len(masses)
-    hp = HermitianProgram()
-    rt = hp.add_nonneg(m)
-    yt = hp.add_nonneg(m)
-    sigma = hp.add_nonneg(1)
-    unit = np.zeros(m)
-    for k in range(m):
-        unit[:] = 0.0
-        unit[k] = 1.0
-        hp.add_le({rt: unit.copy(), yt: -unit}, float(masses[k]))
-        # Capacity row rt_k <= w_k lam sigma, scaled so its largest
-        # coefficient is exactly 1. The exponent is clamped to +-30: rows
-        # further than e^30 from binding move the optimum only below the
-        # 1e-12 scale, while their raw coefficients would make the normal
-        # matrix numerically singular.
-        lc = min(max(log_w[k] + lam_log, -30.0), 30.0)
-        hp.add_le(
-            {
-                rt: math.exp(-max(lc, 0.0)) * unit,
-                sigma: np.array([-math.exp(min(lc, 0.0))]),
-            },
-            0.0,
-        )
-    hp.add_eq({rt: np.ones(m)}, 1.0)
-    hp.add_le({yt: np.ones(m)}, eps)
-    hp.set_objective({sigma: np.ones(1)})
-    problem = hp.build()
-    if dump_path is not None:
-        dump_problem(problem, dump_path)
-    try:
-        return solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
-    except (SolverFailure, ValueError, RuntimeError, FloatingPointError):
-        return None
 
 
 def classical_cost_lp(

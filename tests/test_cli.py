@@ -216,8 +216,11 @@ def test_figure2_deterministic_across_jobs(tmp_path, capsys):
 
 def test_figure2_failure_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    code = run(["figure2", "--n-max", "2", "--out", str(out), "--max-iter", "1"])
-    assert code == 3
+    # At d = 4 the point n = 270 overflows double precision after the rows
+    # for n < 270 are computed; none of them may reach the file.
+    code = run(["figure2", "--d", "4", "--n-max", "300", "--out", str(out)])
+    assert code == 2
+    assert "beyond double-precision range" in capsys.readouterr().err
     assert not out.exists()
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.csv"
     assert run(["figure2", "--n-max", "1", "--out", str(missing_dir)]) == 2

@@ -55,6 +55,9 @@ def test_cost_result_ceiling_slack():
     assert cost_result_from_trv(4.0000011).m_star == 3
     assert cost_result_from_trv(1.0).m_star == 1
     assert cost_result_from_trv(1.0).delta == 0.0
+    # Inside the slack, delta is clamped at 0 rather than going negative.
+    assert cost_result_from_trv(1 + 7.2e-11).delta == 0.0
+    assert cost_result_from_trv(4.0000005).delta == 0.0
 
 
 def test_cost_result_log_domain():

@@ -1,6 +1,7 @@
 """Tests for the symmetry-reduced cost LPs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_two_uses_are_additive_at_zero_eps():
 
 
 def test_agrees_with_waterfilling():
-    for n in (1, 2, 3, 5, 8, 40, 150, 300):
+    for n in (1, 2, 3, 5, 8, 40, 148, 150, 216, 242, 300):
         for eps in (5e-4, 5e-2):
             res = depolarizing_cost_lp(n, 2, 0.15, eps)
             expected = waterfill_log2_trv(n, 2, 0.15, eps)
@@ -81,6 +82,15 @@ def test_agrees_with_waterfilling_other_parameters():
         res = depolarizing_cost_lp(n, d, p, eps)
         expected = waterfill_log2_trv(n, d, p, eps)
         assert abs(2 * res.half_log_trv - expected) <= 1e-6, (n, d, p, eps)
+
+
+def test_qutrit_sweep_is_warning_free_and_exact():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 121):
+            res = depolarizing_cost_lp(n, 3, 0.15, 0.003)
+            expected = waterfill_log2_trv(n, 3, 0.15, 0.003)
+            assert abs(2 * res.half_log_trv - expected) <= 1e-6, n
 
 
 def test_matches_full_sdp_single_use():
