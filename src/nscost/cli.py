@@ -272,21 +272,29 @@ def _cmd_verify(cfg: RunConfig) -> int:
 # Sweeps
 
 
-def _depol_rows_for_n(task) -> list[tuple]:
-    n, d, p, eps_values, qes = task
+_DEPOL_HEADER = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_use",
+                 "qe_asymptote"]
+
+
+def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
+    # Each point is a closed-form waterfilling that takes well under a
+    # millisecond, so the rows are computed in process: a worker pool would
+    # cost more to start than it saves.
+    qe = _fmt(depolarizing_mutual_info(d, p) / 2.0)
     rows = []
-    for eps, qe in zip(eps_values, qes):
-        res = depolarizing_cost_lp(n, d, p, eps)
-        rows.append(
-            (
-                n,
-                repr(eps),
-                _fmt(res.cost_bits),
-                _fmt(res.cost_bits / n),
-                _fmt(res.half_log_trv / n),
-                _fmt(qe),
+    for n in range(1, n_max + 1):
+        for eps in eps_values:
+            res = depolarizing_cost_lp(n, d, p, eps)
+            rows.append(
+                (
+                    n,
+                    repr(eps),
+                    _fmt(res.cost_bits),
+                    _fmt(res.cost_bits / n),
+                    _fmt(res.half_log_trv / n),
+                    qe,
+                )
             )
-        )
     return rows
 
 
@@ -324,7 +332,6 @@ def emit_figure2(
     path: str,
     *,
     d: int = 2,
-    jobs: int = 1,
 ) -> int:
     """Write the per-use depolarizing cost curves to a CSV file.
 
@@ -339,17 +346,8 @@ def emit_figure2(
     eps_values = tuple(float(e) for e in eps_list)
     if not eps_values:
         raise ValueError("eps_list must name at least one tolerance")
-    qe = depolarizing_mutual_info(d, p) / 2.0
-    qes = (qe,) * len(eps_values)
-    tasks = [(n, d, p, eps_values, qes) for n in range(1, n_max + 1)]
-    chunks = _run_tasks(_depol_rows_for_n, tasks, jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    _write_csv(
-        path,
-        ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_use",
-         "qe_asymptote"],
-        rows,
-    )
+    rows = _depol_rows(d, p, eps_values, n_max)
+    _write_csv(path, _DEPOL_HEADER, rows)
     return len(rows)
 
 
@@ -357,23 +355,15 @@ def _cmd_depol_scan(cfg: RunConfig) -> int:
     if cfg.p is None:
         raise ValueError("depol-scan requires --p")
     eps = cfg.eps if cfg.eps is not None else 0.0
-    qe = depolarizing_mutual_info(cfg.d, cfg.p) / 2.0
-    tasks = [(n, cfg.d, cfg.p, (eps,), (qe,)) for n in range(1, cfg.n_max + 1)]
-    chunks = _run_tasks(_depol_rows_for_n, tasks, cfg.jobs)
-    rows = [row for chunk in chunks for row in chunk]
-    _write_csv(
-        cfg.out,
-        ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_use",
-         "qe_asymptote"],
-        rows,
-    )
+    rows = _depol_rows(cfg.d, cfg.p, (eps,), cfg.n_max)
+    _write_csv(cfg.out, _DEPOL_HEADER, rows)
     print(f"wrote {cfg.out} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_figure2(cfg: RunConfig) -> int:
     p = cfg.p if cfg.p is not None else 0.15
-    count = emit_figure2(p, cfg.eps_list, cfg.n_max, cfg.out, d=cfg.d, jobs=cfg.jobs)
+    count = emit_figure2(p, cfg.eps_list, cfg.n_max, cfg.out, d=cfg.d)
     print(f"wrote {cfg.out} ({count} rows)")
     return 0
 
@@ -433,7 +423,8 @@ def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for sweeps (default: NSCOST_JOBS or 1)",
+        help="worker processes for figure3 (default: NSCOST_JOBS or 1); "
+        "figure2 and depol-scan accept it but compute in process",
     )
 
 

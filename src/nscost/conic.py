@@ -7,11 +7,21 @@ and nonnegative-orthant blocks),
 
 and solved with a Nesterov-Todd scaled Mehrotra predictor-corrector method.
 Inequality rows are converted internally to equalities with one nonnegative
-slack each. Complex Hermitian programs are handled by the real symmetric
-embedding (see :func:`embed_hermitian`); the builder :class:`HermitianProgram`
-applies the embedding per block, halves the objective to undo the embedding's
-factor-2 trace distortion, and doubles constraint rows consistently, so the
-solver itself only ever sees real data.
+slack each. The solver itself only ever sees real data. The builder
+:class:`HermitianProgram` states programs over complex Hermitian variables
+and chooses between two real forms:
+
+- When the data are invariant under complex conjugation (real PSD
+  objective; every row either has real PSD coefficients, or purely
+  imaginary ones with zero LP coefficients and zero rhs), each n x n
+  Hermitian variable becomes an n x n real symmetric block and the
+  imaginary rows are dropped. This is exact: if X is feasible and optimal,
+  so is conj X, and by convexity so is Re X = (X + conj X) / 2, which
+  satisfies every imaginary row trivially.
+- Otherwise each variable goes through the real symmetric embedding (see
+  :func:`embed_hermitian`) into a 2n x 2n block; the objective is halved to
+  undo the embedding's factor-2 trace distortion, and constraint rows are
+  doubled consistently.
 
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
@@ -167,6 +177,14 @@ class ConicSolution:
     trace: tuple = field(repr=False, default=())
 
 
+def _negligible(part, whole) -> bool:
+    """True when every entry of `part` is below 1e-10 relative to `whole`."""
+    if not part.any():
+        return True
+    scale = max(1.0, float(np.abs(whole).max(initial=0.0)))
+    return float(np.abs(part).max()) <= 1e-10 * scale
+
+
 def embed_hermitian(h) -> np.ndarray:
     """Real symmetric embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian h.
 
@@ -176,7 +194,7 @@ def embed_hermitian(h) -> np.ndarray:
     a = np.asarray(h, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(a - a.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(a)))):
+    if not _negligible(a - a.conj().T, a):
         raise ValueError("embed_hermitian requires a Hermitian matrix")
     n = a.shape[0]
     re, im = a.real, a.imag
@@ -373,14 +391,11 @@ class _SchurSolver:
         std, nt = self.std, self.nt
         m = std.m
         mat = np.zeros((m, m))
-        self._waw_flat: dict[int, np.ndarray] = {}
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
                 w = nt.W[bi]
                 waw = np.matmul(w[None, :, :], np.matmul(std.sdp_stack[bi], w))
-                waw_flat = waw.reshape(m, -1)
-                self._waw_flat[bi] = waw_flat
-                mat += std.sdp_flat[bi] @ waw_flat.T
+                mat += std.sdp_flat[bi] @ waw.reshape(m, -1).T
             else:
                 a = std.lp_mat[bi]
                 if a.nnz:
@@ -772,16 +787,32 @@ class _VarRef:
 class HermitianProgram:
     """Builder for conic programs over complex Hermitian PSD variables.
 
-    Each PSD variable of complex dimension n becomes a real SDP block of size
-    2n via :func:`embed_hermitian`. Constraint rows <A, X> (sense) b with
-    Hermitian A become real rows <embed(A), Y> (sense) 2b, which are exactly
-    equivalent; the objective is embedded and halved so reported values are
-    the complex-domain ones. LP variables pass through unchanged (their
-    coefficients inside mixed rows are doubled to match).
+    :meth:`build` states the program over real data in one of two forms.
+
+    Real form. When the data are invariant under complex conjugation (the
+    PSD parts of the objective are real, and every row either has real PSD
+    coefficients, or purely imaginary ones with zero LP coefficients and a
+    zero rhs), each PSD variable of complex dimension n becomes a real SDP
+    block of size n. Real rows keep the real part of their PSD coefficients
+    and their LP coefficients and rhs as given; imaginary rows are dropped.
+    This is exact: conj maps feasible points to feasible points of the same
+    value, so for an optimal X the real symmetric Re X = (X + conj X) / 2 is
+    feasible and optimal too by convexity, and <A, Re X> = 0 for every
+    purely imaginary Hermitian A.
+
+    Embedded form, for any other program. Each PSD variable of complex
+    dimension n becomes a real SDP block of size 2n via
+    :func:`embed_hermitian`. Constraint rows <A, X> (sense) b become real
+    rows <embed(A), Y> (sense) 2b, which are exactly equivalent; the
+    objective is embedded and halved so reported values are the
+    complex-domain ones. LP coefficients inside rows are doubled to match.
+
+    Imaginary or real parts below 1e-10 relative count as zero, the
+    tolerance :func:`embed_hermitian` accepts as Hermitian, so data that
+    carry rounding-level imaginary parts still take the real form.
     """
 
     def __init__(self):
-        self._blocks: list[Block] = []
         self._refs: list[_VarRef] = []
         self._rows: list[tuple[dict, float, str]] = []
         self._objective: dict[int, np.ndarray] = {}
@@ -789,15 +820,13 @@ class HermitianProgram:
 
     def add_psd(self, dim: int) -> _VarRef:
         """Add a complex Hermitian PSD variable of dimension dim."""
-        ref = _VarRef(len(self._blocks), "sdp", dim)
-        self._blocks.append(Block("sdp", 2 * dim))
+        ref = _VarRef(len(self._refs), "sdp", dim)
         self._refs.append(ref)
         return ref
 
     def add_nonneg(self, size: int) -> _VarRef:
         """Add a real entrywise-nonnegative vector variable."""
-        ref = _VarRef(len(self._blocks), "lp", size)
-        self._blocks.append(Block("lp", size))
+        ref = _VarRef(len(self._refs), "lp", size)
         self._refs.append(ref)
         return ref
 
@@ -832,30 +861,62 @@ class HermitianProgram:
         }
         self._maximize = maximize
 
+    def _terms_of_kind(self, terms: dict, kind: str) -> list:
+        return [c for bi, c in terms.items() if self._refs[bi].kind == kind]
+
+    def _real_rows(self) -> list | None:
+        """The rows of the real form, or None when the data are not
+        invariant under complex conjugation."""
+        objective = self._terms_of_kind(self._objective, "sdp")
+        if not all(_negligible(c.imag, c) for c in objective):
+            return None
+        kept = []
+        for row in self._rows:
+            terms, rhs, _ = row
+            psd = self._terms_of_kind(terms, "sdp")
+            if all(_negligible(c.imag, c) for c in psd):
+                kept.append(row)
+                continue
+            # A purely imaginary Hermitian coefficient is antisymmetric and
+            # reads 0 on every real symmetric X, so its row may only be
+            # dropped when it asks for 0. Non-Hermitian data fall through to
+            # the embedded form, which rejects them.
+            lp = self._terms_of_kind(terms, "lp")
+            scale = max(float(np.max(np.abs(c))) for c in psd)
+            if not (
+                all(_negligible(c.real, c) and _negligible(c + c.T, c) for c in psd)
+                and _negligible(np.concatenate([[rhs], *lp]), scale)
+            ):
+                return None
+        return kept
+
     def build(self) -> ConicProblem:
+        rows = self._real_rows()
+        if rows is None:
+            rows, factor, to_real = self._rows, 2, embed_hermitian
+        else:
+            factor, to_real = 1, np.real
+        blocks = tuple(
+            Block(ref.kind, factor * ref.size if ref.kind == "sdp" else ref.size)
+            for ref in self._refs
+        )
         objective = []
-        for bi, block in enumerate(self._blocks):
-            entry = self._objective.get(bi)
-            if entry is None:
-                objective.append(None)
-            elif block.kind == "sdp":
-                objective.append(embed_hermitian(entry) / 2.0)
-            else:
-                objective.append(entry)
+        for ref in self._refs:
+            entry = self._objective.get(ref.index)
+            if entry is not None and ref.kind == "sdp":
+                entry = to_real(entry) / factor
+            objective.append(entry)
         constraints = []
-        for terms, rhs, sense in self._rows:
+        for terms, rhs, sense in rows:
             coeffs = []
-            for bi, block in enumerate(self._blocks):
-                entry = terms.get(bi)
-                if entry is None:
-                    coeffs.append(None)
-                elif block.kind == "sdp":
-                    coeffs.append(embed_hermitian(entry))
-                else:
-                    coeffs.append(2.0 * entry)
-            constraints.append(Constraint(tuple(coeffs), 2.0 * rhs, sense))
+            for ref in self._refs:
+                entry = terms.get(ref.index)
+                if entry is not None:
+                    entry = to_real(entry) if ref.kind == "sdp" else factor * entry
+                coeffs.append(entry)
+            constraints.append(Constraint(tuple(coeffs), factor * rhs, sense))
         return ConicProblem(
-            blocks=tuple(self._blocks),
+            blocks=blocks,
             objective=tuple(objective),
             constraints=tuple(constraints),
             maximize=self._maximize,
@@ -864,6 +925,9 @@ class HermitianProgram:
     def extract(self, solution: ConicSolution, ref: _VarRef) -> np.ndarray:
         """Read a variable's value out of a solution of the built problem."""
         value = solution.primal_blocks[ref.index]
-        if ref.kind == "sdp":
-            return unembed_symmetric(value)
-        return np.asarray(value)
+        if ref.kind == "lp":
+            return np.asarray(value)
+        if value.shape[0] == ref.size:
+            # Real form: the block is the variable itself.
+            return np.asarray(value, dtype=np.complex128)
+        return unembed_symmetric(value)

@@ -214,6 +214,15 @@ def test_figure2_deterministic_across_jobs(tmp_path, capsys):
     assert serial.read_bytes() == again.read_bytes()
 
 
+def test_figure3_deterministic_across_jobs(tmp_path, capsys):
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    assert run(["figure3", "--grid", "5", "--out", str(serial), "--jobs", "1"]) == 0
+    assert run(["figure3", "--grid", "5", "--out", str(pooled), "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert serial.read_bytes() == pooled.read_bytes()
+
+
 def test_figure2_failure_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "never.csv"
     # At d = 4 the point n = 270 overflows double precision after the rows

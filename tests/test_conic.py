@@ -106,6 +106,18 @@ def sym_basis(n):
     return out
 
 
+def maxinfo_dual(j):
+    """max tr(J X) s.t. tr_A X + S = 1_B, X, S >= 0 on two qubits, one row
+    per element of the Hermitian basis of B."""
+    prog = HermitianProgram()
+    x = prog.add_psd(4)
+    slack = prog.add_psd(2)
+    for h in hermitian_basis(2):
+        prog.add_eq({x: lift(h, [1], [2, 2]), slack: h}, float(np.trace(h).real))
+    prog.set_objective({x: j}, maximize=True)
+    return prog, x, slack
+
+
 class TestEmbedding:
     def test_identity(self):
         assert np.allclose(embed_hermitian(np.eye(3)), np.eye(6))
@@ -179,19 +191,16 @@ class TestSolveBasics:
         # max tr(J X) s.t. tr_A X <= 1_B, X >= 0 for d=2, p=0.3.
         # Optimum is d^2 (1-p) + p = 3.1 (attained by X = sum_ij |ii><jj|).
         j = make_channel("depolarizing", d=2, p=0.3).choi
-        prog = HermitianProgram()
-        x = prog.add_psd(4)
-        slack = prog.add_psd(2)
-        for h in hermitian_basis(2):
-            prog.add_eq(
-                {x: lift(h, [1], [2, 2]), slack: h}, float(np.trace(h).real)
-            )
-        prog.set_objective({x: j}, maximize=True)
+        prog, x, _ = maxinfo_dual(j)
         sol = solve(prog.build())
         assert sol.status == "optimal"
         assert abs(sol.primal_value - 3.1) < 1e-8
         x_opt = prog.extract(sol, x)
+        # Real data: the real form's block comes back as a complex matrix.
+        assert x_opt.shape == (4, 4) and x_opt.dtype == np.complex128
+        assert np.array_equal(x_opt, x_opt.conj().T)
         assert np.linalg.eigvalsh(x_opt)[0] > -1e-8
+        assert abs(np.real(np.sum(j.conj() * x_opt)) - 3.1) < 1e-8
 
     def test_zero_constraints_declared_unbounded(self):
         prob = ConicProblem(
@@ -225,14 +234,7 @@ class TestSolveBasics:
 
     def test_max_iter_status(self):
         j = make_channel("depolarizing", d=2, p=0.3).choi
-        prog = HermitianProgram()
-        x = prog.add_psd(4)
-        slack = prog.add_psd(2)
-        for h in hermitian_basis(2):
-            prog.add_eq(
-                {x: lift(h, [1], [2, 2]), slack: h}, float(np.trace(h).real)
-            )
-        prog.set_objective({x: j}, maximize=True)
+        prog, _, _ = maxinfo_dual(j)
         sol = solve(prog.build(), max_iter=2)
         assert sol.status == "max_iter"
         assert sol.iterations == 2
@@ -254,6 +256,59 @@ class TestSolveBasics:
                 objective=(np.eye(2),),
                 constraints=(Constraint((None,), 1.0, "eq"),),
             )
+
+
+class TestRealForm:
+    SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+    def test_real_data_build_blocks_of_size_n_without_imaginary_rows(self):
+        j = make_channel("depolarizing", d=2, p=0.3).choi
+        problem = maxinfo_dual(j)[0].build()
+        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        # hermitian_basis(2) has one imaginary element; its row reads 0 = 0
+        # on real X and is dropped. The rest keep their rhs undoubled.
+        assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0]
+        assert np.array_equal(problem.objective[0], j.real)
+
+    def test_rounding_level_imaginary_parts_count_as_zero(self):
+        j = make_channel("depolarizing", d=2, p=0.3).choi
+        noisy = j + 1e-16 * lift(self.SIGMA_Y, [1], [2, 2])
+        problem = maxinfo_dual(noisy)[0].build()
+        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+
+    def test_complex_objective_keeps_the_embedding(self):
+        # Rotating the output by a complex unitary leaves the optimum at 3.1.
+        u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+        lift_u = np.kron(np.eye(2), u)
+        j = lift_u @ make_channel("depolarizing", d=2, p=0.3).choi @ lift_u.conj().T
+        prog, x, _ = maxinfo_dual(j)
+        problem = prog.build()
+        assert problem.blocks == (Block("sdp", 8), Block("sdp", 4))
+        assert len(problem.constraints) == 4
+        assert np.array_equal(problem.objective[0], embed_hermitian(j) / 2)
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_value - 3.1) < 1e-8
+        assert prog.extract(sol, x).shape == (4, 4)
+
+    @pytest.mark.parametrize(
+        "coeff, rhs",
+        [(np.eye(2) + SIGMA_Y, 0.0), (SIGMA_Y, 0.1)],
+        ids=["mixed-row", "imaginary-row-asking-nonzero"],
+    )
+    def test_rows_not_invariant_under_conjugation_keep_the_embedding(self, coeff, rhs):
+        j = make_channel("depolarizing", d=2, p=0.3).choi
+        prog, _, slack = maxinfo_dual(j)
+        prog.add_le({slack: coeff}, rhs)
+        problem = prog.build()
+        assert problem.blocks == (Block("sdp", 8), Block("sdp", 4))
+        assert [c.rhs for c in problem.constraints] == [2.0, 2.0, 0.0, 0.0, 2 * rhs]
+
+    def test_non_hermitian_imaginary_row_is_rejected(self):
+        prog, _, slack = maxinfo_dual(make_channel("depolarizing", d=2, p=0.3).choi)
+        prog.add_eq({slack: 1j * np.eye(2)}, 0.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            prog.build()
 
 
 class TestSolverProperties:

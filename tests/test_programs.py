@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nscost.programs
 from nscost.conic import SolverFailure, problem_from_json
 from nscost.programs import (
     CertificatePair,
@@ -22,6 +23,7 @@ from nscost.programs import (
     zero_error_cost,
 )
 from nscost.qmat import (
+    QuantumChannel,
     compose_channels,
     kron,
     make_channel,
@@ -475,6 +477,52 @@ def test_certificate_shapes_validated():
         verify_certificate(depol(0.3), CertificatePair(np.eye(3), cert.dual_x))
     with pytest.raises(ValueError):
         verify_certificate(depol(0.3), CertificatePair(cert.primal_v, np.eye(3)))
+
+
+# ---------------------------------------------------------------------------
+# Real and embedded forms of the same program
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [make_channel("amplitude_damping", r=0.3), depol(0.3, d=3)],
+    ids=["amplitude-damping", "qutrit-depolarizing"],
+)
+def test_complex_rotation_agrees_with_real_form(channel, monkeypatch):
+    # J' = (1 (x) U) J (1 (x) U)^dag for a fixed complex unitary U is the
+    # channel followed by U, so every value below is unchanged. J is real and
+    # solves over n x n blocks; J' is complex and solves through the 2n x 2n
+    # embedding.
+    d = channel.dim_out
+    g = np.arange(d * d).reshape(d, d) + 1j * np.cos(np.arange(d * d)).reshape(d, d)
+    u = np.linalg.qr(g)[0]
+    lift_u = np.kron(np.eye(channel.dim_in), u)
+
+    def rotate(ch):
+        return QuantumChannel(ch.dim_in, ch.dim_out, lift_u @ ch.choi @ lift_u.conj().T)
+
+    def values(ch, identity):
+        return [
+            zero_error_cost(ch).tr_v_opt,
+            one_shot_cost_ns(ch, 0.05).tr_v_opt,
+            min_error_noiseless(2, ch, "NS_PPT"),
+            diamond_norm_dist(ch, identity),
+        ]
+
+    psd_orders = []
+    solve = nscost.programs.solve
+
+    def recording_solve(problem, **kw):
+        psd_orders.append(sum(b.size for b in problem.blocks if b.kind == "sdp"))
+        return solve(problem, **kw)
+
+    monkeypatch.setattr(nscost.programs, "solve", recording_solve)
+    identity = make_channel("identity", d=d)
+    plain = values(channel, identity)
+    plain_orders, psd_orders[:] = psd_orders[:], []
+    rotated = values(rotate(channel), rotate(identity))
+    assert psd_orders == [2 * order for order in plain_orders]
+    assert np.allclose(rotated, plain, rtol=0.0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
