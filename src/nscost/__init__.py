@@ -19,12 +19,10 @@ from nscost.conic import (
     Constraint,
     HermitianProgram,
     SolverFailure,
-    embed_hermitian,
     problem_from_json,
     problem_to_json,
     solution_to_json,
     solve,
-    unembed_symmetric,
 )
 from nscost.programs import (
     CertificateCheck,

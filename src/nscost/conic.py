@@ -1,27 +1,23 @@
-"""Block-structured conic solver: SDP and LP cones, primal-dual interior point.
+"""Block-structured conic solver: PSD and LP cones, primal-dual interior point.
 
 Problems are stated in standard form over a block-diagonal cone (PSD blocks
 and nonnegative-orthant blocks),
 
     minimize  <C, X>  subject to  <A_i, X> = b_i  (or <= b_i),  X in cone,
 
-and solved with a Nesterov-Todd scaled Mehrotra predictor-corrector method.
-Inequality rows are converted internally to equalities with one nonnegative
-slack each. The solver itself only ever sees real data. The builder
-:class:`HermitianProgram` states programs over complex Hermitian variables
-and chooses between two real forms:
+with <A, X> = Re tr(A X), and solved with a Nesterov-Todd scaled Mehrotra
+predictor-corrector method. Inequality rows are converted internally to
+equalities with one nonnegative slack each.
 
-- When the data are invariant under complex conjugation (real PSD
-  objective; every row either has real PSD coefficients, or purely
-  imaginary ones with zero LP coefficients and zero rhs), each n x n
-  Hermitian variable becomes an n x n real symmetric block and the
-  imaginary rows are dropped. This is exact: if X is feasible and optimal,
-  so is conj X, and by convexity so is Re X = (X + conj X) / 2, which
-  satisfies every imaginary row trivially.
-- Otherwise each variable goes through the real symmetric embedding (see
-  :func:`embed_hermitian`) into a 2n x 2n block; the objective is halved to
-  undo the embedding's factor-2 trace distortion, and constraint rows are
-  doubled consistently.
+There is one path for real and complex data. A PSD block is real symmetric
+(float64) when every entry given for it is real, and complex Hermitian
+(complex128) otherwise. The method is the same for both: transposes are
+conjugate transposes, and <A, X> is the dot product of the float64 views of
+the flattened matrices. The Schur matrix and the Newton rhs are therefore
+real, and on real blocks the views are the arrays themselves, so real data
+run the same arithmetic as a real-only solver. The builder
+:class:`HermitianProgram` states programs over complex Hermitian variables
+and gives them real blocks whenever the data allow it.
 
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
@@ -46,12 +42,10 @@ __all__ = [
     "HermitianProgram",
     "IterateRecord",
     "SolverFailure",
-    "embed_hermitian",
     "problem_from_json",
     "problem_to_json",
     "solution_to_json",
     "solve",
-    "unembed_symmetric",
 ]
 
 _STEP_TO_BOUNDARY = 0.98
@@ -100,8 +94,8 @@ class ConicProblem:
     """Standard-form block problem; see the module docstring.
 
     `objective` and each constraint's `coeffs` are sequences parallel to
-    `blocks`; entries are (n, n) symmetric arrays for SDP blocks, length-n
-    vectors for LP blocks, or None for absent blocks.
+    `blocks`; entries are (n, n) Hermitian arrays for SDP blocks (real or
+    complex), length-n real vectors for LP blocks, or None for absent blocks.
     """
 
     blocks: tuple
@@ -135,15 +129,15 @@ def _validated_blockmat(entries, blocks, what: str) -> tuple:
         if entry is None:
             out.append(None)
             continue
-        a = np.array(entry, dtype=float)
         if block.kind == "sdp":
+            a = np.array(entry, dtype=complex if np.iscomplexobj(entry) else float)
             if a.shape != (block.size, block.size):
                 raise ValueError(f"{what}: SDP entry shape {a.shape} != block size")
-            if np.max(np.abs(a - a.T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
-                raise ValueError(f"{what}: SDP entry is not symmetric")
-            a = (a + a.T) / 2.0
+            if np.max(np.abs(a - a.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
+                raise ValueError(f"{what}: SDP entry is not Hermitian")
+            a = (a + a.conj().T) / 2.0
         else:
-            a = a.reshape(-1)
+            a = np.array(entry, dtype=float).reshape(-1)
             if a.shape != (block.size,):
                 raise ValueError(f"{what}: LP entry length {a.shape} != block size")
         a.setflags(write=False)
@@ -177,48 +171,6 @@ class ConicSolution:
     trace: tuple = field(repr=False, default=())
 
 
-def _negligible(part, whole) -> bool:
-    """True when every entry of `part` is below 1e-10 relative to `whole`."""
-    if not part.any():
-        return True
-    scale = max(1.0, float(np.abs(whole).max(initial=0.0)))
-    return float(np.abs(part).max()) <= 1e-10 * scale
-
-
-def embed_hermitian(h) -> np.ndarray:
-    """Real symmetric embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian h.
-
-    Eigenvalues of the embedding are those of h with doubled multiplicity, so
-    PSD-ness is preserved both ways; traces satisfy tr(embed(h)) = 2 tr(h).
-    """
-    a = np.asarray(h, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not _negligible(a - a.conj().T, a):
-        raise ValueError("embed_hermitian requires a Hermitian matrix")
-    n = a.shape[0]
-    re, im = a.real, a.imag
-    out = np.empty((2 * n, 2 * n), dtype=float)
-    out[:n, :n] = re
-    out[n:, n:] = re
-    out[:n, n:] = -im
-    out[n:, :n] = im
-    return (out + out.T) / 2.0
-
-
-def unembed_symmetric(y) -> np.ndarray:
-    """Recover a Hermitian matrix from a real symmetric 2n x 2n embedding image.
-
-    For any symmetric Y, <embed(A), Y> = 2 <A, unembed(Y)> for all Hermitian A,
-    and unembed(Y) is PSD whenever Y is.
-    """
-    a = np.asarray(y, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-        raise ValueError("expected a square matrix of even size")
-    n = a.shape[0] // 2
-    return (a[:n, :n] + a[n:, n:]) / 2.0 + 0.5j * (a[n:, :n] - a[:n, n:])
-
-
 # ---------------------------------------------------------------------------
 # Standardized internal form
 
@@ -246,23 +198,29 @@ class _Standardized:
                     entry = np.zeros((block.size, block.size))
                 else:
                     entry = np.zeros(block.size)
-            self.objective.append(self.sign * np.asarray(entry, dtype=float))
+            self.objective.append(self.sign * entry)
         if self.slack_index is not None:
             self.objective.append(np.zeros(len(le_rows)))
 
-        # Constraint stacks: dense (m, n, n) per SDP block, sparse CSR per LP.
+        # Constraint stacks: dense (m, n, n) per SDP block, in the block's
+        # dtype, with their float64 views (m, n*n or 2*n*n); sparse CSR per LP.
         self.sdp_stack: dict[int, np.ndarray] = {}
         self.sdp_flat: dict[int, np.ndarray] = {}
         self.lp_mat: dict[int, scipy.sparse.csr_matrix] = {}
         for bi, block in enumerate(self.blocks):
             if block.kind == "sdp":
-                stack = np.zeros((m, block.size, block.size))
-                for i, con in enumerate(problem.constraints):
-                    entry = con.coeffs[bi]
+                entries = [con.coeffs[bi] for con in problem.constraints]
+                complex_data = any(
+                    np.iscomplexobj(e) for e in [self.objective[bi], *entries]
+                )
+                stack = np.zeros(
+                    (m, block.size, block.size), dtype=complex if complex_data else float
+                )
+                for i, entry in enumerate(entries):
                     if entry is not None:
                         stack[i] = entry
                 self.sdp_stack[bi] = stack
-                self.sdp_flat[bi] = stack.reshape(m, block.size * block.size)
+                self.sdp_flat[bi] = stack.reshape(m, block.size**2).view(float)
             else:
                 rows, cols, vals = [], [], []
                 if bi == self.slack_index:
@@ -288,9 +246,7 @@ class _Standardized:
             )
             self.lp_all_csc = self.lp_all.tocsc()
         self.norm_b = float(np.linalg.norm(self.b)) if m else 0.0
-        self.norm_c = math.sqrt(
-            sum(float(np.sum(np.asarray(c) ** 2)) for c in self.objective)
-        )
+        self.norm_c = math.sqrt(sum(_sqnorm(c) for c in self.objective))
 
     # -- block-space linear maps ------------------------------------------
 
@@ -298,7 +254,7 @@ class _Standardized:
         out = np.zeros(self.m)
         for bi, block in enumerate(self.blocks):
             if block.kind == "sdp":
-                out += self.sdp_flat[bi] @ x[bi].reshape(-1)
+                out += self.sdp_flat[bi] @ _flat(x[bi])
             else:
                 out += self.lp_mat[bi] @ x[bi]
         return out
@@ -313,14 +269,24 @@ class _Standardized:
         return out
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Float64 view of a flattened matrix: Re tr(A B) = _flat(A) @ _flat(B)
+    for Hermitian A and B."""
+    return a.reshape(-1).view(float)
+
+
 def _inner(block: Block, a, b) -> float:
     if block.kind == "sdp":
-        return float(np.sum(a * b))
+        return float(np.sum(a * b.conj()).real)
     return float(a @ b)
 
 
+def _sqnorm(a) -> float:
+    return float(np.sum(np.abs(a) ** 2))
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + a.conj().T) / 2.0
 
 
 def _dense_cholesky_with_jitter(mat: np.ndarray):
@@ -356,15 +322,15 @@ class _NTScaling:
                     raise SolverFailure(
                         "iterate left the PSD cone (Cholesky breakdown)"
                     ) from exc
-                u, sig, vt = np.linalg.svd(ls.T @ lx)
+                u, sig, vt = np.linalg.svd(ls.conj().T @ lx)
                 if sig[-1] <= 0.0:
                     raise SolverFailure("NT scaling breakdown: singular iterate")
                 inv_sqrt = 1.0 / np.sqrt(sig)
-                r = lx @ (vt.T * inv_sqrt)
-                rinv = (inv_sqrt[:, None] * u.T) @ ls.T
+                r = lx @ (vt.conj().T * inv_sqrt)
+                rinv = (inv_sqrt[:, None] * u.conj().T) @ ls.conj().T
                 self.R[bi] = r
                 self.Rinv[bi] = rinv
-                self.W[bi] = r @ r.T
+                self.W[bi] = r @ r.conj().T
                 self.lam[bi] = sig
                 self.chol_x[bi] = lx
                 self.chol_s[bi] = ls
@@ -395,7 +361,7 @@ class _SchurSolver:
             if block.kind == "sdp":
                 w = nt.W[bi]
                 waw = np.matmul(w[None, :, :], np.matmul(std.sdp_stack[bi], w))
-                mat += std.sdp_flat[bi] @ waw.reshape(m, -1).T
+                mat += std.sdp_flat[bi] @ waw.reshape(m, -1).view(float).T
             else:
                 a = std.lp_mat[bi]
                 if a.nnz:
@@ -443,7 +409,7 @@ class _SchurSolver:
 
 def _max_step_sdp(chol, delta: np.ndarray) -> float:
     t = scipy.linalg.solve_triangular(chol, delta, lower=True)
-    t = scipy.linalg.solve_triangular(chol, t.T, lower=True)
+    t = scipy.linalg.solve_triangular(chol, t.conj().T, lower=True)
     lo = float(np.linalg.eigvalsh(_sym(t))[0])
     if lo >= -1e-14:
         return _BIG_STEP
@@ -491,13 +457,7 @@ def solve(
     nu = sum(b.size for b in std.blocks)
     norm_a = max(
         (
-            math.sqrt(
-                sum(
-                    float(np.sum(np.asarray(c) ** 2))
-                    for c in con.coeffs
-                    if c is not None
-                )
-            )
+            math.sqrt(sum(_sqnorm(c) for c in con.coeffs if c is not None))
             for con in problem.constraints
         ),
         default=1.0,
@@ -506,10 +466,11 @@ def solve(
     rho_d = max(1.0, std.norm_c / math.sqrt(nu), std.norm_b / max(1.0, norm_a))
     x = []
     s = []
-    for block in std.blocks:
+    for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
-            x.append(rho_p * np.eye(block.size))
-            s.append(rho_d * np.eye(block.size))
+            dtype = std.sdp_stack[bi].dtype
+            x.append(rho_p * np.eye(block.size, dtype=dtype))
+            s.append(rho_d * np.eye(block.size, dtype=dtype))
         else:
             x.append(rho_p * np.ones(block.size))
             s.append(rho_d * np.ones(block.size))
@@ -535,9 +496,7 @@ def solve(
             _inner(block, x[bi], s[bi]) for bi, block in enumerate(std.blocks)
         ) / nu
         pres = float(np.linalg.norm(rp)) / (1.0 + std.norm_b)
-        dres = math.sqrt(
-            sum(float(np.sum(np.asarray(r) ** 2)) for r in rd)
-        ) / (1.0 + std.norm_c)
+        dres = math.sqrt(sum(_sqnorm(r) for r in rd)) / (1.0 + std.norm_c)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         trace.append(IterateRecord(it, std.sign * pobj, std.sign * dobj, mu, pres, dres))
 
@@ -584,13 +543,13 @@ def solve(
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
                 lam = nt.lam[bi]
-                dxh = nt.Rinv[bi] @ dx_aff[bi] @ nt.Rinv[bi].T
-                dsh = nt.R[bi].T @ ds_aff[bi] @ nt.R[bi]
+                dxh = nt.Rinv[bi] @ dx_aff[bi] @ nt.Rinv[bi].conj().T
+                dsh = nt.R[bi].conj().T @ ds_aff[bi] @ nt.R[bi]
                 cross = _sym(dxh @ dsh)
                 d = -cross
                 d[np.diag_indices_from(d)] += sigma * mu - lam**2
                 z = 2.0 * d / np.add.outer(lam, lam)
-                rc_cor.append(_sym(nt.R[bi] @ z @ nt.R[bi].T))
+                rc_cor.append(_sym(nt.R[bi] @ z @ nt.R[bi].conj().T))
             else:
                 d = sigma * mu - x[bi] * s[bi] - dx_aff[bi] * ds_aff[bi]
                 rc_cor.append(d / s[bi])
@@ -640,7 +599,7 @@ def _newton_step(std, nt, schur, rp, rd, rc):
     for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
             t = nt.W[bi] @ rd[bi] @ nt.W[bi] - rc[bi]
-            rhs += std.sdp_flat[bi] @ t.reshape(-1)
+            rhs += std.sdp_flat[bi] @ _flat(t)
         else:
             t = nt.w2[bi] * rd[bi] - rc[bi]
             rhs += std.lp_mat[bi] @ t
@@ -685,19 +644,14 @@ def _detect_certificates(std, x, s, y, feas_tol) -> str | None:
     if bty > 1e-8 * scale_y:
         aty = std.apply_At(y)
         res = math.sqrt(
-            sum(
-                float(np.sum(np.asarray(aty[bi] + s[bi]) ** 2))
-                for bi in range(len(std.blocks))
-            )
+            sum(_sqnorm(aty[bi] + s[bi]) for bi in range(len(std.blocks)))
         )
         if res <= 1e-7 * bty:
             return "infeasible"
     ctx = sum(
         _inner(block, std.objective[bi], x[bi]) for bi, block in enumerate(std.blocks)
     )
-    scale_x = 1.0 + math.sqrt(
-        sum(float(np.sum(np.asarray(xb) ** 2)) for xb in x)
-    )
+    scale_x = 1.0 + math.sqrt(sum(_sqnorm(xb) for xb in x))
     if ctx < -1e-8 * scale_x:
         res = float(np.linalg.norm(std.apply_A(x)))
         if res <= 1e-7 * (-ctx):
@@ -709,18 +663,27 @@ def _detect_certificates(std, x, s, y, feas_tol) -> str | None:
 # JSON dump/load
 
 
+def _array_to_json(a):
+    """Nested lists; a complex array becomes {"re": ..., "im": ...}."""
+    if a is None:
+        return None
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        return {"re": a.real.tolist(), "im": a.imag.tolist()}
+    return a.tolist()
+
+
 def problem_to_json(problem: ConicProblem) -> dict:
-    """Serialize a problem to the documented {blocks, objective, constraints, sense} schema."""
+    """Serialize a problem to the documented {blocks, objective, constraints, sense} schema.
 
-    def entry_to_json(entry):
-        return None if entry is None else np.asarray(entry).tolist()
-
+    Entries are nested lists, or {"re": ..., "im": ...} for complex SDP entries.
+    """
     return {
         "blocks": [{"kind": b.kind, "size": b.size} for b in problem.blocks],
-        "objective": [entry_to_json(e) for e in problem.objective],
+        "objective": [_array_to_json(e) for e in problem.objective],
         "constraints": [
             {
-                "coeffs": [entry_to_json(e) for e in c.coeffs],
+                "coeffs": [_array_to_json(e) for e in c.coeffs],
                 "rhs": c.rhs,
                 "sense": c.sense,
             }
@@ -734,7 +697,13 @@ def problem_from_json(doc: dict) -> ConicProblem:
     blocks = tuple(Block(b["kind"], int(b["size"])) for b in doc["blocks"])
 
     def entry_from_json(entry):
-        return None if entry is None else np.asarray(entry, dtype=float)
+        if entry is None:
+            return None
+        if isinstance(entry, dict):
+            return np.asarray(entry["re"], dtype=float) + 1j * np.asarray(
+                entry["im"], dtype=float
+            )
+        return np.asarray(entry, dtype=float)
 
     constraints = tuple(
         Constraint(
@@ -761,7 +730,7 @@ def solution_to_json(sol: ConicSolution) -> dict:
         "iterations": sol.iterations,
         "primal_residual": sol.primal_residual,
         "dual_residual": sol.dual_residual,
-        "primal_blocks": [np.asarray(b).tolist() for b in sol.primal_blocks],
+        "primal_blocks": [_array_to_json(b) for b in sol.primal_blocks],
         "dual_multipliers": np.asarray(sol.dual_multipliers).tolist(),
     }
 
@@ -773,6 +742,17 @@ def dump_problem(problem: ConicProblem, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Complex Hermitian front end
+
+
+def _scale(c: np.ndarray) -> np.ndarray:
+    """max(1, max |c|) over the last two axes."""
+    return np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
+
+
+def _large(part: np.ndarray, scale) -> np.ndarray:
+    """Whether `part` has an entry above 1e-10 relative to `scale`, over the
+    last two axes."""
+    return np.abs(part).max(axis=(-2, -1)) > 1e-10 * scale
 
 
 class _VarRef:
@@ -787,29 +767,26 @@ class _VarRef:
 class HermitianProgram:
     """Builder for conic programs over complex Hermitian PSD variables.
 
-    :meth:`build` states the program over real data in one of two forms.
+    :meth:`build` gives each PSD variable of complex dimension n one n x n
+    SDP block, real or complex as the data allow.
 
-    Real form. When the data are invariant under complex conjugation (the
+    Real blocks. When the data are invariant under complex conjugation (the
     PSD parts of the objective are real, and every row either has real PSD
     coefficients, or purely imaginary ones with zero LP coefficients and a
-    zero rhs), each PSD variable of complex dimension n becomes a real SDP
-    block of size n. Real rows keep the real part of their PSD coefficients
-    and their LP coefficients and rhs as given; imaginary rows are dropped.
+    zero rhs), real rows keep the real part of their PSD coefficients and
+    their LP coefficients and rhs as given; imaginary rows are dropped.
     This is exact: conj maps feasible points to feasible points of the same
     value, so for an optimal X the real symmetric Re X = (X + conj X) / 2 is
     feasible and optimal too by convexity, and <A, Re X> = 0 for every
     purely imaginary Hermitian A.
 
-    Embedded form, for any other program. Each PSD variable of complex
-    dimension n becomes a real SDP block of size 2n via
-    :func:`embed_hermitian`. Constraint rows <A, X> (sense) b become real
-    rows <embed(A), Y> (sense) 2b, which are exactly equivalent; the
-    objective is embedded and halved so reported values are the
-    complex-domain ones. LP coefficients inside rows are doubled to match.
+    Complex blocks, for any other program. Every coefficient, rhs and LP
+    coefficient is passed as given, and the solver works over complex
+    Hermitian blocks. :class:`ConicProblem` rejects non-Hermitian data.
 
-    Imaginary or real parts below 1e-10 relative count as zero, the
-    tolerance :func:`embed_hermitian` accepts as Hermitian, so data that
-    carry rounding-level imaginary parts still take the real form.
+    Imaginary or real parts below 1e-10 relative to max(1, max |A|) count
+    as zero in the conjugation test, so data that carry rounding-level
+    imaginary parts still take real blocks.
     """
 
     def __init__(self):
@@ -861,73 +838,71 @@ class HermitianProgram:
         }
         self._maximize = maximize
 
-    def _terms_of_kind(self, terms: dict, kind: str) -> list:
-        return [c for bi, c in terms.items() if self._refs[bi].kind == kind]
-
     def _real_rows(self) -> list | None:
-        """The rows of the real form, or None when the data are not
-        invariant under complex conjugation."""
-        objective = self._terms_of_kind(self._objective, "sdp")
-        if not all(_negligible(c.imag, c) for c in objective):
-            return None
-        kept = []
-        for row in self._rows:
-            terms, rhs, _ = row
-            psd = self._terms_of_kind(terms, "sdp")
-            if all(_negligible(c.imag, c) for c in psd):
-                kept.append(row)
-                continue
-            # A purely imaginary Hermitian coefficient is antisymmetric and
-            # reads 0 on every real symmetric X, so its row may only be
-            # dropped when it asks for 0. Non-Hermitian data fall through to
-            # the embedded form, which rejects them.
-            lp = self._terms_of_kind(terms, "lp")
-            scale = max(float(np.max(np.abs(c))) for c in psd)
-            if not (
-                all(_negligible(c.real, c) and _negligible(c + c.T, c) for c in psd)
-                and _negligible(np.concatenate([[rhs], *lp]), scale)
-            ):
+        """The rows kept with real blocks, or None when the data are not
+        invariant under complex conjugation.
+
+        Each variable's coefficients are tested as one stack, one entry per
+        row that has the variable.
+        """
+        for index, c in self._objective.items():
+            if self._refs[index].kind == "sdp" and _large(c.imag, _scale(c)):
                 return None
-        return kept
+        n_rows = len(self._rows)
+        # Per row: some PSD coefficient has an imaginary part; every PSD
+        # coefficient is purely imaginary and Hermitian, hence antisymmetric;
+        # the largest PSD scale; the largest |rhs| or |LP coefficient|.
+        imaginary = np.zeros(n_rows, dtype=bool)
+        antisymmetric = np.ones(n_rows, dtype=bool)
+        scale = np.ones(n_rows)
+        rest = np.abs(np.array([rhs for _, rhs, _ in self._rows], dtype=float))
+        for ref in self._refs:
+            rows = [i for i, (terms, _, _) in enumerate(self._rows) if ref.index in terms]
+            if not rows:
+                continue
+            c = np.stack([self._rows[i][0][ref.index] for i in rows])
+            if ref.kind == "lp":
+                rest[rows] = np.maximum(rest[rows], np.abs(c).max(axis=1))
+                continue
+            mag = _scale(c)
+            imaginary[rows] |= _large(c.imag, mag)
+            antisymmetric[rows] &= ~(
+                _large(c.real, mag) | _large(c + c.transpose(0, 2, 1), mag)
+            )
+            scale[rows] = np.maximum(scale[rows], mag)
+        # A purely imaginary Hermitian coefficient reads 0 on every real
+        # symmetric X, so its row may only be dropped when it asks for 0.
+        # Non-Hermitian data fall through to complex blocks, which reject them.
+        droppable = antisymmetric & (rest <= 1e-10 * scale)
+        if np.any(imaginary & ~droppable):
+            return None
+        return [row for row, drop in zip(self._rows, imaginary) if not drop]
 
     def build(self) -> ConicProblem:
         rows = self._real_rows()
-        if rows is None:
-            rows, factor, to_real = self._rows, 2, embed_hermitian
-        else:
-            factor, to_real = 1, np.real
-        blocks = tuple(
-            Block(ref.kind, factor * ref.size if ref.kind == "sdp" else ref.size)
-            for ref in self._refs
-        )
-        objective = []
-        for ref in self._refs:
-            entry = self._objective.get(ref.index)
-            if entry is not None and ref.kind == "sdp":
-                entry = to_real(entry) / factor
-            objective.append(entry)
-        constraints = []
-        for terms, rhs, sense in rows:
-            coeffs = []
+        real = rows is not None
+        if not real:
+            rows = self._rows
+
+        def entries(terms: dict) -> tuple:
+            out = []
             for ref in self._refs:
                 entry = terms.get(ref.index)
-                if entry is not None:
-                    entry = to_real(entry) if ref.kind == "sdp" else factor * entry
-                coeffs.append(entry)
-            constraints.append(Constraint(tuple(coeffs), factor * rhs, sense))
+                if real and entry is not None and ref.kind == "sdp":
+                    entry = np.real(entry)
+                out.append(entry)
+            return tuple(out)
+
         return ConicProblem(
-            blocks=blocks,
-            objective=tuple(objective),
-            constraints=tuple(constraints),
+            blocks=tuple(Block(ref.kind, ref.size) for ref in self._refs),
+            objective=entries(self._objective),
+            constraints=tuple(
+                Constraint(entries(terms), rhs, sense) for terms, rhs, sense in rows
+            ),
             maximize=self._maximize,
         )
 
     def extract(self, solution: ConicSolution, ref: _VarRef) -> np.ndarray:
         """Read a variable's value out of a solution of the built problem."""
-        value = solution.primal_blocks[ref.index]
-        if ref.kind == "lp":
-            return np.asarray(value)
-        if value.shape[0] == ref.size:
-            # Real form: the block is the variable itself.
-            return np.asarray(value, dtype=np.complex128)
-        return unembed_symmetric(value)
+        value = np.asarray(solution.primal_blocks[ref.index])
+        return value if ref.kind == "lp" else value.astype(np.complex128)

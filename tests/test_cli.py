@@ -10,7 +10,7 @@ import numpy as np
 
 from nscost.analytic import ClosedForm
 from nscost.cli import emit_figure2, run
-from nscost.conic import problem_from_json
+from nscost.conic import problem_from_json, solve
 from nscost.programs import one_shot_cost_ns
 from nscost.qmat import make_channel
 from nscost.symmetry import depolarizing_cost_lp, depolarizing_mutual_info
@@ -301,6 +301,32 @@ def test_dump_problem_writes_valid_json(tmp_path, capsys):
     lp_problem = problem_from_json(json.loads(lp_dump.read_text()))
     assert lp_problem.blocks
     capsys.readouterr()
+
+
+def test_dump_problem_of_complex_channel(tmp_path, capsys):
+    # Amplitude damping (r = 0.3) followed by a fixed complex unitary: a
+    # complex Choi matrix, so the dump holds {"re", "im"} entries.
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+    lift_u = np.kron(np.eye(2), u)
+    choi = lift_u @ make_channel("amplitude_damping", r=0.3).choi @ lift_u.conj().T
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({
+        "dim_in": 2,
+        "dim_out": 2,
+        "re": choi.real.tolist(),
+        "im": choi.imag.tolist(),
+    }))
+    dump = tmp_path / "problem.json"
+    assert run(["cost", "--family", f"@{path}", "--eps", "0",
+                "--dump-problem", str(dump)]) == 0
+    capsys.readouterr()
+    problem = problem_from_json(json.loads(dump.read_text()))
+    assert problem.blocks[0].size == 2
+    assert np.iscomplexobj(problem.constraints[0].coeffs[0])
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    # The value of the same program solved over the 2n x 2n real embedding.
+    assert abs(sol.primal_value - 3.3733200578131504) <= 1e-8 * 3.3733200578131504
 
 
 def test_module_entry_point():

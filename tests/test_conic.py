@@ -11,27 +11,21 @@ from nscost.conic import (
     ConicSolution,
     Constraint,
     HermitianProgram,
-    embed_hermitian,
     problem_from_json,
     problem_to_json,
     solution_to_json,
     solve,
-    unembed_symmetric,
 )
 from nscost.qmat import hermitian_basis, lift, make_channel
 
 
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2
-
-
-def random_problem(rng, with_ineq=True):
+def random_problem(rng, with_ineq=True, complex=False):
     """Random strictly feasible problem with finite optimum.
 
     Primal interior point X0 and dual interior point (y0, S0) are drawn
     first; b and C are manufactured from them, so both sides are strictly
-    feasible and strong duality holds.
+    feasible and strong duality holds. With `complex`, SDP data are complex
+    Hermitian; the draws of the default real problems are unchanged.
     """
     blocks = []
     n_blocks = rng.integers(1, 4)
@@ -43,27 +37,34 @@ def random_problem(rng, with_ineq=True):
     # Constraint rows must stay linearly independent, so never exceed the
     # cone's real degrees of freedom; Gaussian rows below that are a.s. fine.
     dof = sum(
-        b.size * (b.size + 1) // 2 if b.kind == "sdp" else b.size for b in blocks
+        (b.size**2 if complex else b.size * (b.size + 1) // 2)
+        if b.kind == "sdp"
+        else b.size
+        for b in blocks
     )
     m = int(rng.integers(1, min(15, dof) + 1))
 
+    def random_square(n):
+        g = rng.standard_normal((n, n))
+        return g + 1j * rng.standard_normal((n, n)) if complex else g
+
     def random_entry(block):
         if block.kind == "sdp":
-            g = rng.standard_normal((block.size, block.size))
-            return (g + g.T) / 2
+            g = random_square(block.size)
+            return (g + g.conj().T) / 2
         return rng.standard_normal(block.size)
 
     def random_interior(block, floor):
         if block.kind == "sdp":
-            g = rng.standard_normal((block.size, block.size))
-            return g @ g.T + floor * np.eye(block.size)
+            g = random_square(block.size)
+            return g @ g.conj().T + floor * np.eye(block.size)
         return rng.uniform(floor, floor + 1.0, block.size)
 
     constraints = []
     x0 = [random_interior(b, 0.5) for b in blocks]
     for i in range(m):
         coeffs = [random_entry(b) for b in blocks]
-        val = sum(float(np.sum(c * x)) for c, x in zip(coeffs, x0))
+        val = sum(float(np.sum(c * x.conj()).real) for c, x in zip(coeffs, x0))
         if with_ineq and rng.random() < 0.4:
             constraints.append(
                 Constraint(tuple(coeffs), val + float(rng.uniform(0.1, 1.0)), "le")
@@ -116,42 +117,6 @@ def maxinfo_dual(j):
         prog.add_eq({x: lift(h, [1], [2, 2]), slack: h}, float(np.trace(h).real))
     prog.set_objective({x: j}, maximize=True)
     return prog, x, slack
-
-
-class TestEmbedding:
-    def test_identity(self):
-        assert np.allclose(embed_hermitian(np.eye(3)), np.eye(6))
-
-    def test_pauli_y_eigenvalues(self):
-        sy = np.array([[0.0, -1j], [1j, 0.0]])
-        e = embed_hermitian(sy)
-        assert e.shape == (4, 4)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(e)), [-1, -1, 1, 1])
-
-    def test_psd_preserved_both_ways(self):
-        rng = np.random.default_rng(101)
-        for _ in range(100):
-            h = random_hermitian(rng, 4)
-            lo_c = np.linalg.eigvalsh(h)[0]
-            lo_r = np.linalg.eigvalsh(embed_hermitian(h))[0]
-            assert np.isclose(lo_c, lo_r, atol=1e-10)
-
-    def test_trace_doubling_and_unembed_adjoint(self):
-        rng = np.random.default_rng(103)
-        h = random_hermitian(rng, 3)
-        e = embed_hermitian(h)
-        assert np.isclose(np.trace(e), 2 * np.trace(h).real)
-        # <embed(A), Y> = 2 <A, unembed(Y)> for arbitrary symmetric Y.
-        g = rng.standard_normal((6, 6))
-        y = (g + g.T) / 2
-        a = random_hermitian(rng, 3)
-        lhs = float(np.sum(embed_hermitian(a) * y))
-        rhs = 2 * float(np.real(np.sum(a.conj() * unembed_symmetric(y))))
-        assert np.isclose(lhs, rhs, atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            embed_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSolveBasics:
@@ -240,14 +205,14 @@ class TestSolveBasics:
         assert sol.iterations == 2
 
     def test_validation_rejects_asymmetric_coeff(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            ConicProblem(
-                blocks=(Block("sdp", 2),),
-                objective=(np.eye(2),),
-                constraints=(
-                    Constraint((np.array([[0.0, 1.0], [0.0, 0.0]]),), 1.0, "eq"),
-                ),
-            )
+        # A complex symmetric matrix is not Hermitian either.
+        for coeff in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1j], [1j, 0.0]]):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                ConicProblem(
+                    blocks=(Block("sdp", 2),),
+                    objective=(np.eye(2),),
+                    constraints=(Constraint((np.array(coeff),), 1.0, "eq"),),
+                )
 
     def test_validation_rejects_empty_constraint(self):
         with pytest.raises(ValueError, match="no coefficients"):
@@ -268,6 +233,7 @@ class TestRealForm:
         # hermitian_basis(2) has one imaginary element; its row reads 0 = 0
         # on real X and is dropped. The rest keep their rhs undoubled.
         assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0]
+        assert problem.objective[0].dtype == np.float64
         assert np.array_equal(problem.objective[0], j.real)
 
     def test_rounding_level_imaginary_parts_count_as_zero(self):
@@ -283,12 +249,15 @@ class TestRealForm:
         j = lift_u @ make_channel("depolarizing", d=2, p=0.3).choi @ lift_u.conj().T
         prog, x, _ = maxinfo_dual(j)
         problem = prog.build()
-        assert problem.blocks == (Block("sdp", 8), Block("sdp", 4))
-        assert len(problem.constraints) == 4
-        assert np.array_equal(problem.objective[0], embed_hermitian(j) / 2)
+        # Complex data: n x n blocks, every row kept, nothing doubled or halved.
+        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0, 0.0]
+        assert problem.objective[0].dtype == np.complex128
+        assert np.allclose(problem.objective[0], j, rtol=0.0, atol=1e-15)
         sol = solve(problem)
         assert sol.status == "optimal"
         assert abs(sol.primal_value - 3.1) < 1e-8
+        assert np.iscomplexobj(sol.primal_blocks[0])
         assert prog.extract(sol, x).shape == (4, 4)
 
     @pytest.mark.parametrize(
@@ -301,8 +270,10 @@ class TestRealForm:
         prog, _, slack = maxinfo_dual(j)
         prog.add_le({slack: coeff}, rhs)
         problem = prog.build()
-        assert problem.blocks == (Block("sdp", 8), Block("sdp", 4))
-        assert [c.rhs for c in problem.constraints] == [2.0, 2.0, 0.0, 0.0, 2 * rhs]
+        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0, 0.0, rhs]
+        added = problem.constraints[-1].coeffs[1]
+        assert added.dtype == np.complex128 and np.array_equal(added, coeff)
 
     def test_non_hermitian_imaginary_row_is_rejected(self):
         prog, _, slack = maxinfo_dual(make_channel("depolarizing", d=2, p=0.3).choi)
@@ -313,12 +284,16 @@ class TestRealForm:
 
 class TestSolverProperties:
     def test_fifty_random_strictly_feasible(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(50):
-            prob = random_problem(rng)
-            sol = solve(prob, gap_tol=1e-8, feas_tol=1e-8, max_iter=200)
-            assert sol.status == "optimal", f"trial {trial}: {sol.status}"
-            assert sol.gap <= 1e-8
+        for seed, is_complex in ((2024, False), (2025, True)):
+            rng = np.random.default_rng(seed)
+            for trial in range(50):
+                prob = random_problem(rng, complex=is_complex)
+                sol = solve(prob, gap_tol=1e-8, feas_tol=1e-8, max_iter=200)
+                assert sol.status == "optimal", f"trial {trial}: {sol.status}"
+                assert sol.gap <= 1e-8
+                for block, x in zip(prob.blocks, sol.primal_blocks):
+                    if block.kind == "sdp":
+                        assert np.iscomplexobj(x) == is_complex
 
     def test_weak_duality_on_iterates(self):
         rng = np.random.default_rng(77)

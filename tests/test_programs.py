@@ -480,7 +480,7 @@ def test_certificate_shapes_validated():
 
 
 # ---------------------------------------------------------------------------
-# Real and embedded forms of the same program
+# Real and complex blocks of the same program
 
 
 @pytest.mark.parametrize(
@@ -491,8 +491,8 @@ def test_certificate_shapes_validated():
 def test_complex_rotation_agrees_with_real_form(channel, monkeypatch):
     # J' = (1 (x) U) J (1 (x) U)^dag for a fixed complex unitary U is the
     # channel followed by U, so every value below is unchanged. J is real and
-    # solves over n x n blocks; J' is complex and solves through the 2n x 2n
-    # embedding.
+    # solves over real n x n blocks; J' is complex and solves over complex
+    # Hermitian blocks of the same order.
     d = channel.dim_out
     g = np.arange(d * d).reshape(d, d) + 1j * np.cos(np.arange(d * d)).reshape(d, d)
     u = np.linalg.qr(g)[0]
@@ -513,7 +513,12 @@ def test_complex_rotation_agrees_with_real_form(channel, monkeypatch):
     solve = nscost.programs.solve
 
     def recording_solve(problem, **kw):
-        psd_orders.append(sum(b.size for b in problem.blocks if b.kind == "sdp"))
+        psd_orders.append(
+            (
+                sum(b.size for b in problem.blocks if b.kind == "sdp"),
+                any(np.iscomplexobj(c) for c in problem.constraints[0].coeffs),
+            )
+        )
         return solve(problem, **kw)
 
     monkeypatch.setattr(nscost.programs, "solve", recording_solve)
@@ -521,7 +526,8 @@ def test_complex_rotation_agrees_with_real_form(channel, monkeypatch):
     plain = values(channel, identity)
     plain_orders, psd_orders[:] = psd_orders[:], []
     rotated = values(rotate(channel), rotate(identity))
-    assert psd_orders == [2 * order for order in plain_orders]
+    assert all(not is_complex for _, is_complex in plain_orders)
+    assert psd_orders == [(order, True) for order, _ in plain_orders]
     assert np.allclose(rotated, plain, rtol=0.0, atol=1e-7)
 
 
