@@ -7,7 +7,9 @@ and nonnegative-orthant blocks),
 
 with <A, X> = Re tr(A X), and solved with a Nesterov-Todd scaled Mehrotra
 predictor-corrector method. Inequality rows are converted internally to
-equalities with one nonnegative slack each.
+equalities with one nonnegative slack each. Step lengths come from the NT
+factors: with G X G^H = I, the step to the boundary along dX is
+-1/lambda_min(G dX G^H), one eigvalsh call per PSD block for both sides.
 
 There is one path for real and complex data. A PSD block is real symmetric
 (float64) when every entry given for it is real, and complex Hermitian
@@ -50,6 +52,9 @@ __all__ = [
 
 _STEP_TO_BOUNDARY = 0.98
 _BIG_STEP = 1e16
+# The LAPACK routines behind scipy's cho_factor and cho_solve, called without
+# their input checks.
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class SolverFailure(RuntimeError):
@@ -106,43 +111,68 @@ class ConicProblem:
     def __post_init__(self) -> None:
         blocks = tuple(self.blocks)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self, "objective", _validated_blockmat(self.objective, blocks, "objective")
+        rows = _validated_rows(
+            [list(self.objective), *(list(con.coeffs) for con in self.constraints)],
+            blocks,
         )
-        cons = []
-        for i, con in enumerate(self.constraints):
-            coeffs = _validated_blockmat(con.coeffs, blocks, f"constraint {i}")
-            if all(c is None for c in coeffs):
-                raise ValueError(f"constraint {i} has no coefficients")
-            cons.append(Constraint(coeffs, float(con.rhs), con.sense))
+        cons = [
+            Constraint(c, float(con.rhs), con.sense)
+            for c, con in zip(rows[1:], self.constraints)
+        ]
+        object.__setattr__(self, "objective", rows[0])
         object.__setattr__(self, "constraints", tuple(cons))
 
 
-def _validated_blockmat(entries, blocks, what: str) -> tuple:
-    entries = list(entries)
-    if len(entries) != len(blocks):
-        raise ValueError(
-            f"{what}: expected {len(blocks)} block entries, got {len(entries)}"
-        )
+def _validated_rows(rows: list, blocks: tuple) -> list:
+    """Each row's entries as read-only arrays, SDP entries made Hermitian.
+
+    Row 0 is the objective, row i + 1 constraint i, which needs a coefficient.
+    The entries of a block are checked and stored as one stack per dtype.
+    Invalid data raise the error of the first bad entry, in row order.
+    """
+    names = ["objective", *(f"constraint {i}" for i in range(len(rows) - 1))]
+    errors = []  # (row, block, or -1 for the row itself, message)
     out = []
-    for entry, block in zip(entries, blocks):
-        if entry is None:
-            out.append(None)
-            continue
-        if block.kind == "sdp":
-            a = np.array(entry, dtype=complex if np.iscomplexobj(entry) else float)
-            if a.shape != (block.size, block.size):
-                raise ValueError(f"{what}: SDP entry shape {a.shape} != block size")
-            if np.max(np.abs(a - a.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(a))):
-                raise ValueError(f"{what}: SDP entry is not Hermitian")
-            a = (a + a.conj().T) / 2.0
-        else:
-            a = np.array(entry, dtype=float).reshape(-1)
-            if a.shape != (block.size,):
-                raise ValueError(f"{what}: LP entry length {a.shape} != block size")
-        a.setflags(write=False)
-        out.append(a)
-    return tuple(out)
+    for r, row in enumerate(rows):
+        if len(row) != len(blocks):
+            got = f"expected {len(blocks)} block entries, got {len(row)}"
+            errors.append((r, -1, f"{names[r]}: {got}"))
+            row = [None] * len(blocks)
+        elif r > 0 and all(e is None for e in row):
+            errors.append((r, len(blocks), f"{names[r]} has no coefficients"))
+        out.append(row)
+    for bi, block in enumerate(blocks):
+        stacks: dict = {}  # dtype -> [(row, entry)]
+        for r, row in enumerate(out):
+            entry = row[bi]
+            if entry is None:
+                continue
+            if block.kind == "sdp":
+                a = np.asarray(entry, dtype=complex if np.iscomplexobj(entry) else float)
+                shape, what = (block.size, block.size), "SDP entry shape"
+            else:
+                a = np.asarray(entry, dtype=float).reshape(-1)
+                shape, what = (block.size,), "LP entry length"
+            if a.shape != shape:
+                errors.append((r, bi, f"{names[r]}: {what} {a.shape} != block size"))
+            else:
+                stacks.setdefault(a.dtype, []).append((r, a))
+        for pairs in stacks.values():
+            rs, entries = zip(*pairs)
+            a = np.stack(entries)
+            if block.kind == "sdp":
+                ah = a.conj().transpose(0, 2, 1)
+                scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+                bad = np.abs(a - ah).max(axis=(1, 2)) > 1e-10 * scale
+                for k in np.flatnonzero(bad):
+                    errors.append((rs[k], bi, f"{names[rs[k]]}: SDP entry is not Hermitian"))
+                a = (a + ah) / 2.0
+            a.setflags(write=False)
+            for r, entry in zip(rs, a):
+                out[r][bi] = entry
+    if errors:
+        raise ValueError(min(errors, key=lambda e: e[:2])[2])
+    return [tuple(row) for row in out]
 
 
 @dataclass(frozen=True)
@@ -263,7 +293,9 @@ class _Standardized:
         out = []
         for bi, block in enumerate(self.blocks):
             if block.kind == "sdp":
-                out.append(np.tensordot(y, self.sdp_stack[bi], axes=(0, 0)))
+                stack = self.sdp_stack[bi]
+                flat = y @ self.sdp_flat[bi]
+                out.append(flat.view(stack.dtype).reshape(stack.shape[1:]))
             else:
                 out.append(self.lp_mat[bi].T @ y)
         return out
@@ -289,29 +321,32 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _dense_cholesky_with_jitter(mat: np.ndarray):
+def _dense_cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor (LAPACK potrf) of mat plus the smallest jitter
+    on the ladder that makes it positive definite."""
     scale = max(1.0, float(np.trace(mat)) / mat.shape[0])
     jitter = 0.0
     for attempt in range(9):
-        try:
-            return scipy.linalg.cho_factor(
-                mat + jitter * np.eye(mat.shape[0]), lower=True
-            )
-        except scipy.linalg.LinAlgError:
-            jitter = scale * 1e-14 * 10.0**attempt
+        c, info = _POTRF(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=0)
+        if info == 0:
+            return c
+        jitter = scale * 1e-14 * 10.0**attempt
     raise SolverFailure("Schur complement factorization failed")
 
 
 class _NTScaling:
-    """Per-block Nesterov-Todd scaling data for one iterate."""
+    """Per-block Nesterov-Todd scaling data for one iterate.
+
+    On an SDP block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
+    G[bi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
+    """
 
     def __init__(self, std: _Standardized, x: list, s: list):
         self.R: dict[int, np.ndarray] = {}
         self.Rinv: dict[int, np.ndarray] = {}
         self.W: dict[int, np.ndarray] = {}
         self.lam: dict[int, np.ndarray] = {}
-        self.chol_x: dict[int, np.ndarray] = {}
-        self.chol_s: dict[int, np.ndarray] = {}
+        self.G: dict[int, np.ndarray] = {}
         self.w2: dict[int, np.ndarray] = {}
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
@@ -332,8 +367,7 @@ class _NTScaling:
                 self.Rinv[bi] = rinv
                 self.W[bi] = r @ r.conj().T
                 self.lam[bi] = sig
-                self.chol_x[bi] = lx
-                self.chol_s[bi] = ls
+                self.G[bi] = np.stack([rinv, r.conj().T]) * inv_sqrt[:, None]
             else:
                 if np.any(x[bi] <= 0.0) or np.any(s[bi] <= 0.0):
                     raise SolverFailure("iterate left the nonnegative cone")
@@ -342,85 +376,51 @@ class _NTScaling:
 
 
 class _SchurSolver:
-    """Factorization of M = A W A^T for one iterate, shared by both solves."""
+    """Factorization of M = A W A^T for one iterate, shared by both solves.
+
+    A pure LP factorizes the sparse A diag(w2) A^T with a sparse LU; any SDP
+    block, or a failed LU, gives a dense M and its jittered Cholesky factor.
+    """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
-        self.std = std
-        self.nt = nt
         if std.pure_lp:
-            self._init_sparse()
+            a = std.lp_all_csc
+            d = np.concatenate([nt.w2[bi] for bi in range(len(std.blocks))])
+            mat = (a.multiply(d) @ a.T).tocsc()
+            try:
+                self._solve_once = scipy.sparse.linalg.splu(mat).solve
+                self._mat = mat
+                return
+            except (RuntimeError, scipy.linalg.LinAlgError):
+                mat = mat.toarray()
         else:
-            self._init_dense()
-
-    # Dense path: any SDP block present. Builds M explicitly.
-    def _init_dense(self) -> None:
-        std, nt = self.std, self.nt
-        m = std.m
-        mat = np.zeros((m, m))
-        for bi, block in enumerate(std.blocks):
-            if block.kind == "sdp":
-                w = nt.W[bi]
-                waw = np.matmul(w[None, :, :], np.matmul(std.sdp_stack[bi], w))
-                mat += std.sdp_flat[bi] @ waw.reshape(m, -1).view(float).T
-            else:
-                a = std.lp_mat[bi]
-                if a.nnz:
-                    mat += (a.multiply(nt.w2[bi]) @ a.T).toarray()
-        mat = (mat + mat.T) / 2.0
-        self._dense_mat = mat
-        self._factor = _dense_cholesky_with_jitter(mat)
-
-    # Sparse path: pure LP. Factorizes A diag(w2) A^T with a sparse LU.
-    def _init_sparse(self) -> None:
-        std, nt = self.std, self.nt
-        a = std.lp_all_csc
-        d = np.concatenate([nt.w2[bi] for bi in range(len(std.blocks))])
-        mat = (a.multiply(d) @ a.T).tocsc()
-        try:
-            self._lu = scipy.sparse.linalg.splu(mat)
-            self._sparse_mat = mat
-        except (RuntimeError, scipy.linalg.LinAlgError):
-            # Fall back to a dense factorization of the full normal matrix.
-            full = mat.toarray()
-            full = (full + full.T) / 2.0
-            self._lu = None
-            self._dense_mat = full
-            self._factor = _dense_cholesky_with_jitter(full)
-
-    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        if self.std.pure_lp and self._lu is not None:
-            return self._lu.solve(rhs)
-        return scipy.linalg.cho_solve(self._factor, rhs)
-
-    def _matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.std.pure_lp and self._lu is not None:
-            return self._sparse_mat @ v
-        return self._dense_mat @ v
+            mat = np.zeros((std.m, std.m))
+            for bi, block in enumerate(std.blocks):
+                if block.kind == "sdp":
+                    w = nt.W[bi]
+                    waw = np.matmul(w[None, :, :], np.matmul(std.sdp_stack[bi], w))
+                    mat += std.sdp_flat[bi] @ waw.reshape(std.m, -1).view(float).T
+                else:
+                    a = std.lp_mat[bi]
+                    if a.nnz:
+                        mat += (a.multiply(nt.w2[bi]) @ a.T).toarray()
+        self._mat = (mat + mat.T) / 2.0
+        factor = _dense_cholesky_with_jitter(self._mat)
+        self._solve_once = lambda rhs: _POTRS(factor, rhs, lower=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = self._solve_once(rhs)
         # One step of iterative refinement stabilizes the late iterations.
-        residual = rhs - self._matvec(y)
+        residual = rhs - self._mat @ y
         y = y + self._solve_once(residual)
         if not np.all(np.isfinite(y)):
             raise SolverFailure("Schur solve produced non-finite values")
         return y
 
 
-def _max_step_sdp(chol, delta: np.ndarray) -> float:
-    t = scipy.linalg.solve_triangular(chol, delta, lower=True)
-    t = scipy.linalg.solve_triangular(chol, t.conj().T, lower=True)
-    lo = float(np.linalg.eigvalsh(_sym(t))[0])
-    if lo >= -1e-14:
-        return _BIG_STEP
-    return -1.0 / lo
-
-
 def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> float:
     neg = delta < 0.0
-    if not np.any(neg):
-        return _BIG_STEP
-    return float(np.min(-x[neg] / delta[neg]))
+    return float(np.min(-x[neg] / delta[neg])) if np.any(neg) else _BIG_STEP
 
 
 def solve(
@@ -520,13 +520,10 @@ def solve(
         schur = _SchurSolver(std, nt)
 
         # Predictor: target complementarity 0.
-        rc_aff = []
-        for bi, block in enumerate(std.blocks):
-            rc_aff.append(-x[bi])
+        rc_aff = [-xb for xb in x]
         dy_aff, dx_aff, ds_aff = _newton_step(std, nt, schur, rp, rd, rc_aff)
 
-        ap = _max_primal_step(std, nt, x, dx_aff)
-        ad = _max_dual_step(std, nt, s, ds_aff)
+        ap, ad = _max_steps(std, nt, x, s, dx_aff, ds_aff)
         mu_aff = sum(
             _inner(
                 block,
@@ -555,8 +552,8 @@ def solve(
                 rc_cor.append(d / s[bi])
         dy, dx, ds = _newton_step(std, nt, schur, rp, rd, rc_cor)
 
-        ap = min(1.0, _STEP_TO_BOUNDARY * _max_primal_step(std, nt, x, dx))
-        ad = min(1.0, _STEP_TO_BOUNDARY * _max_dual_step(std, nt, s, ds))
+        ap, ad = _max_steps(std, nt, x, s, dx, ds)
+        ap, ad = min(1.0, _STEP_TO_BOUNDARY * ap), min(1.0, _STEP_TO_BOUNDARY * ad)
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
                 x[bi] = _sym(x[bi] + ap * dx[bi])
@@ -617,24 +614,27 @@ def _newton_step(std, nt, schur, rp, rd, rc):
     return dy, dx, ds
 
 
-def _max_primal_step(std, nt, x, dx) -> float:
-    step = _BIG_STEP
+def _max_steps(std, nt, x, s, dx, ds) -> tuple[float, float]:
+    """Largest primal and dual steps that stay in the cone, or _BIG_STEP.
+
+    With G X G^H = I, X + a dX is PSD exactly for a <= -1/lambda_min(G dX G^H);
+    one eigvalsh per SDP block serves the primal and the dual side.
+    """
+    ap = ad = _BIG_STEP
     for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
-            step = min(step, _max_step_sdp(nt.chol_x[bi], dx[bi]))
+            g = nt.G[bi]
+            t = g @ np.stack([dx[bi], ds[bi]]) @ g.conj().transpose(0, 2, 1)
+            t = (t + t.conj().transpose(0, 2, 1)) / 2.0
+            lo_p, lo_d = np.linalg.eigvalsh(t)[:, 0].tolist()
+            if lo_p < -1e-14:
+                ap = min(ap, -1.0 / lo_p)
+            if lo_d < -1e-14:
+                ad = min(ad, -1.0 / lo_d)
         else:
-            step = min(step, _max_step_lp(x[bi], dx[bi]))
-    return step
-
-
-def _max_dual_step(std, nt, s, ds) -> float:
-    step = _BIG_STEP
-    for bi, block in enumerate(std.blocks):
-        if block.kind == "sdp":
-            step = min(step, _max_step_sdp(nt.chol_s[bi], ds[bi]))
-        else:
-            step = min(step, _max_step_lp(s[bi], ds[bi]))
-    return step
+            ap = min(ap, _max_step_lp(x[bi], dx[bi]))
+            ad = min(ad, _max_step_lp(s[bi], ds[bi]))
+    return ap, ad
 
 
 def _detect_certificates(std, x, s, y, feas_tol) -> str | None:

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
+from nscost import conic
 from nscost.conic import (
     Block,
     ConicProblem,
     ConicSolution,
     Constraint,
     HermitianProgram,
+    SolverFailure,
     problem_from_json,
     problem_to_json,
     solution_to_json,
@@ -242,7 +245,7 @@ class TestRealForm:
         problem = maxinfo_dual(noisy)[0].build()
         assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
 
-    def test_complex_objective_keeps_the_embedding(self):
+    def test_complex_objective_takes_complex_blocks(self):
         # Rotating the output by a complex unitary leaves the optimum at 3.1.
         u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
         lift_u = np.kron(np.eye(2), u)
@@ -265,7 +268,7 @@ class TestRealForm:
         [(np.eye(2) + SIGMA_Y, 0.0), (SIGMA_Y, 0.1)],
         ids=["mixed-row", "imaginary-row-asking-nonzero"],
     )
-    def test_rows_not_invariant_under_conjugation_keep_the_embedding(self, coeff, rhs):
+    def test_rows_not_invariant_under_conjugation_take_complex_blocks(self, coeff, rhs):
         j = make_channel("depolarizing", d=2, p=0.3).choi
         prog, _, slack = maxinfo_dual(j)
         prog.add_le({slack: coeff}, rhs)
@@ -423,6 +426,97 @@ class TestSolverProperties:
         )
         assert sol.status == "optimal" and ref.success
         assert abs(sol.primal_value - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+
+
+class TestStepLengths:
+    """The solver's step lengths against the generalized eigenproblem
+    -dX v = mu X v, which does not use the NT factors: X + a dX stays PSD
+    exactly for a <= 1 / max mu."""
+
+    @staticmethod
+    def oracle(x, dx):
+        top = scipy.linalg.eigh(-dx, x, eigvals_only=True)[-1]
+        return 1.0 / top if top > 0 else conic._BIG_STEP
+
+    @staticmethod
+    def steps(x, s, dx, ds):
+        n = x[0].shape[0]
+        problem = ConicProblem(
+            blocks=(Block("sdp", n), Block("lp", len(x[1]))),
+            objective=(None, None),
+            constraints=(Constraint((np.eye(n), None), 1.0),),
+        )
+        std = conic._Standardized(problem)
+        nt = conic._NTScaling(std, x, s)
+        return conic._max_steps(std, nt, x, s, dx, ds)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_steps_match_generalized_eigenvalues(self, n, is_complex):
+        rng = np.random.default_rng([n, is_complex])
+
+        def square():
+            g = rng.standard_normal((n, n))
+            return g + 1j * rng.standard_normal((n, n)) if is_complex else g
+
+        def interior():
+            g = square()
+            return g @ g.conj().T + 0.5 * np.eye(n)
+
+        def direction():
+            g = square()
+            return 3.0 * (g + g.conj().T)
+
+        for _ in range(5):
+            x = [interior(), rng.uniform(0.5, 1.5, 3)]
+            s = [interior(), rng.uniform(0.5, 1.5, 3)]
+            # A positive primal LP direction never binds; the dual one may.
+            dx = [direction(), rng.uniform(0.1, 1.0, 3)]
+            ds = [direction(), rng.standard_normal(3)]
+            ap, ad = self.steps(x, s, dx, ds)
+            want_p = self.oracle(x[0], dx[0])
+            neg = ds[1] < 0
+            want_d = min(
+                [self.oracle(s[0], ds[0]), *(-s[1][neg] / ds[1][neg])]
+            )
+            assert ap == pytest.approx(want_p, rel=1e-9)
+            assert ad == pytest.approx(want_d, rel=1e-9)
+            if ap < conic._BIG_STEP:
+                edge = np.linalg.eigvalsh(x[0] + ap * dx[0])[0]
+                scale = np.linalg.norm(x[0], 2) + ap * np.linalg.norm(dx[0], 2)
+                assert abs(edge) <= 1e-9 * scale
+
+    def test_psd_directions_are_unbounded(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 8):
+            g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            x = [np.eye(n, dtype=complex), np.ones(2)]
+            dx = [g @ g.conj().T, np.array([0.0, 1.0])]
+            assert self.steps(x, x, dx, dx) == (conic._BIG_STEP, conic._BIG_STEP)
+
+
+class TestSchurFactorization:
+    def test_positive_definite_solves_as_scipy_does(self):
+        rng = np.random.default_rng(12)
+        g = rng.standard_normal((7, 7))
+        mat = g @ g.T + np.eye(7)
+        mat = (mat + mat.T) / 2.0
+        rhs = rng.standard_normal(7)
+        factor = conic._dense_cholesky_with_jitter(mat)
+        got = conic._POTRS(factor, rhs, lower=1)[0]
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat, lower=True), rhs)
+        assert np.array_equal(got, want)
+
+    def test_singular_psd_factors_after_jitter(self):
+        v = np.array([1.0, 2.0, -1.0])
+        mat = np.outer(v, v)
+        assert conic._POTRF(mat, lower=1)[1] > 0
+        low = np.tril(conic._dense_cholesky_with_jitter(mat))
+        assert np.allclose(low @ low.T, mat, rtol=0.0, atol=1e-10)
+
+    def test_indefinite_matrix_fails(self):
+        with pytest.raises(SolverFailure, match="Schur complement factorization failed"):
+            conic._dense_cholesky_with_jitter(np.diag([1.0, -1.0]))
 
 
 class TestJson:
