@@ -299,15 +299,9 @@ def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
 
 
 def _figure3_row(task) -> tuple:
-    family, param, d, gap_tol, feas_tol, max_iter, dump_path = task
+    family, param, d, solver_kw = task
     channel = _make_named_channel(family, d, param, param)
-    res = zero_error_cost(
-        channel,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-        dump_path=dump_path,
-    )
+    res = zero_error_cost(channel, **solver_kw)
     return (family, _fmt(param), _fmt(res.half_log_trv))
 
 
@@ -371,22 +365,11 @@ def _cmd_figure2(cfg: RunConfig) -> int:
 def _cmd_figure3(cfg: RunConfig) -> int:
     params = [i / (cfg.grid - 1) for i in range(cfg.grid)]
     families = _FIG3_FAMILIES if cfg.d == 2 else ("depolarizing", "erasure")
-    tasks = []
-    first = True
-    for family in families:
-        for param in params:
-            tasks.append(
-                (
-                    family,
-                    param,
-                    cfg.d,
-                    cfg.gap_tol,
-                    cfg.feas_tol,
-                    cfg.max_iter,
-                    cfg.dump_path if first else None,
-                )
-            )
-            first = False
+    solver_kw = _solver_kw(cfg)
+    # Only the first solve writes the problem dump.
+    later_kw = dict(solver_kw, dump_path=None)
+    tasks = [(fam, param, cfg.d, later_kw) for fam in families for param in params]
+    tasks[0] = (*tasks[0][:3], solver_kw)
     rows = _run_tasks(_figure3_row, tasks, cfg.jobs)
     _write_csv(cfg.out, ["family", "param", "cost_bits"], rows)
     print(f"wrote {cfg.out} ({len(rows)} rows)")

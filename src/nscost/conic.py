@@ -18,8 +18,9 @@ conjugate transposes, and <A, X> is the dot product of the float64 views of
 the flattened matrices. The Schur matrix and the Newton rhs are therefore
 real, and on real blocks the views are the arrays themselves, so real data
 run the same arithmetic as a real-only solver. The builder
-:class:`HermitianProgram` states programs over complex Hermitian variables
-and gives them real blocks whenever the data allow it.
+:class:`HermitianProgram` states programs as linear matrix inequalities
+over real parameters, passes their Lagrange duals to this form, and gives
+them real blocks whenever the data allow it.
 
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
@@ -37,6 +38,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 __all__ = [
+    "Affine",
     "Block",
     "ConicProblem",
     "ConicSolution",
@@ -741,7 +743,7 @@ def dump_problem(problem: ConicProblem, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Complex Hermitian front end
+# LMI front end
 
 
 def _scale(c: np.ndarray) -> np.ndarray:
@@ -755,30 +757,89 @@ def _large(part: np.ndarray, scale) -> np.ndarray:
     return np.abs(part).max(axis=(-2, -1)) > 1e-10 * scale
 
 
-class _VarRef:
-    __slots__ = ("index", "kind", "size")
+class Affine:
+    """An affine function offset + sum_k t_k B_k of a program's real
+    parameters t, with values of one shape (a number, vector or matrix).
 
-    def __init__(self, index: int, kind: str, size: int):
-        self.index = index
-        self.kind = kind
-        self.size = size
+    `terms` maps the index of the first parameter of each variable involved
+    to the stack of that variable's B_k. Numbers and arrays combine with it
+    by +, - and *, in either order.
+    """
+
+    __array_ufunc__ = None  # ndarray (op) Affine calls the methods below
+
+    def __init__(self, offset, terms: dict):
+        self.offset = np.asarray(offset)
+        self.terms = terms
+
+    def map(self, fn, *args) -> Affine:
+        """fn(self, *args), for fn linear in its first argument."""
+        return Affine(
+            fn(self.offset, *args),
+            {s: np.stack([fn(b, *args) for b in st]) for s, st in self.terms.items()},
+        )
+
+    def __add__(self, other) -> Affine:
+        if not isinstance(other, Affine):
+            other = Affine(other, {})
+        terms = dict(self.terms)
+        for start, stack in other.terms.items():
+            terms[start] = terms[start] + stack if start in terms else stack
+        return Affine(self.offset + other.offset, terms)
+
+    __radd__ = __add__
+
+    def __mul__(self, c) -> Affine:
+        """Times a number, or a number-valued function times an array."""
+        c = np.asarray(c)
+        return Affine(
+            self.offset * c,
+            {s: np.multiply.outer(st, c) for s, st in self.terms.items()},
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> Affine:
+        return self * -1.0
+
+    def __sub__(self, other) -> Affine:
+        return self + -other
+
+    def __rsub__(self, other) -> Affine:
+        return -self + other
 
 
 class HermitianProgram:
-    """Builder for conic programs over complex Hermitian PSD variables.
+    """Builder for semidefinite programs in LMI form,
 
-    :meth:`build` gives each PSD variable of complex dimension n one n x n
-    SDP block, real or complex as the data allow.
+        minimize c . t  subject to  F0_j + sum_k t_k F_kj >= 0  for each j,
+
+    over real parameters t. :meth:`variable` adds the parameters of one
+    variable, an :class:`Affine` family offset + sum_k t_k B_k over a real
+    basis B_k given by the caller: `hermitian_basis` for a free Hermitian
+    matrix, a subspace basis for an affinely constrained one. Expressions
+    built from variables by linear maps (:meth:`Affine.map`) and arithmetic
+    are required to be PSD by :meth:`add_lmi`; a matrix expression becomes
+    an SDP block, a number or vector an LP block.
+
+    :meth:`build` compiles the program to the solver's standard form as its
+    Lagrange dual, one block X_j per LMI and one row per parameter,
+
+        maximize sum_j <-F0_j, X_j>  subject to  sum_j <F_kj, X_j> = c_k,
+
+    so the solution's `dual_multipliers` are t and its `dual_value` is c . t
+    (Vandenberghe & Boyd 1996, "Semidefinite programming").
 
     Real blocks. When the data are invariant under complex conjugation (the
-    PSD parts of the objective are real, and every row either has real PSD
+    PSD parts of the built objective -F0 are real, and every row either has real PSD
     coefficients, or purely imaginary ones with zero LP coefficients and a
     zero rhs), real rows keep the real part of their PSD coefficients and
     their LP coefficients and rhs as given; imaginary rows are dropped.
     This is exact: conj maps feasible points to feasible points of the same
     value, so for an optimal X the real symmetric Re X = (X + conj X) / 2 is
     feasible and optimal too by convexity, and <A, Re X> = 0 for every
-    purely imaginary Hermitian A.
+    purely imaginary Hermitian A. On the LMI side the same symmetry gives an
+    optimal t whose parameters of dropped rows are 0, and they read 0.
 
     Complex blocks, for any other program. Every coefficient, rhs and LP
     coefficient is passed as given, and the solver works over complex
@@ -790,119 +851,109 @@ class HermitianProgram:
     """
 
     def __init__(self):
-        self._refs: list[_VarRef] = []
-        self._rows: list[tuple[dict, float, str]] = []
-        self._objective: dict[int, np.ndarray] = {}
-        self._maximize = False
+        self._n_params = 0
+        self._lmis: list[Affine] = []
+        self._objective = Affine(0.0, {})
+        self._kept = np.zeros(0, dtype=int)
 
-    def add_psd(self, dim: int) -> _VarRef:
-        """Add a complex Hermitian PSD variable of dimension dim."""
-        ref = _VarRef(len(self._refs), "sdp", dim)
-        self._refs.append(ref)
-        return ref
+    def variable(self, basis, offset=None) -> Affine:
+        """A new variable offset + sum_k t_k basis[k]; offset defaults to 0."""
+        basis = np.asarray(basis)
+        start = self._n_params
+        self._n_params += len(basis)
+        if offset is None:
+            offset = np.zeros(basis.shape[1:])
+        return Affine(offset, {start: basis})
 
-    def add_nonneg(self, size: int) -> _VarRef:
-        """Add a real entrywise-nonnegative vector variable."""
-        ref = _VarRef(len(self._refs), "lp", size)
-        self._refs.append(ref)
-        return ref
+    def add_lmi(self, expr: Affine) -> None:
+        """Require expr >= 0: PSD for a matrix, entrywise for a vector."""
+        self._lmis.append(expr)
 
-    def _coerce(self, ref: _VarRef, coeff) -> np.ndarray:
-        if ref.kind == "sdp":
-            a = np.asarray(coeff, dtype=np.complex128)
-            if a.shape != (ref.size, ref.size):
-                raise ValueError(
-                    f"coefficient shape {a.shape} does not match variable dim {ref.size}"
-                )
-            return a
-        a = np.asarray(coeff, dtype=float).reshape(-1)
-        if a.shape != (ref.size,):
-            raise ValueError(
-                f"coefficient length {a.shape} does not match variable size {ref.size}"
-            )
-        return a
-
-    def add_eq(self, terms: dict, rhs: float) -> None:
-        self._rows.append(
-            ({ref.index: self._coerce(ref, c) for ref, c in terms.items()}, float(rhs), "eq")
-        )
-
-    def add_le(self, terms: dict, rhs: float) -> None:
-        self._rows.append(
-            ({ref.index: self._coerce(ref, c) for ref, c in terms.items()}, float(rhs), "le")
-        )
-
-    def set_objective(self, terms: dict, maximize: bool = False) -> None:
-        self._objective = {
-            ref.index: self._coerce(ref, c) for ref, c in terms.items()
-        }
-        self._maximize = maximize
-
-    def _real_rows(self) -> list | None:
-        """The rows kept with real blocks, or None when the data are not
-        invariant under complex conjugation.
-
-        Each variable's coefficients are tested as one stack, one entry per
-        row that has the variable.
-        """
-        for index, c in self._objective.items():
-            if self._refs[index].kind == "sdp" and _large(c.imag, _scale(c)):
-                return None
-        n_rows = len(self._rows)
-        # Per row: some PSD coefficient has an imaginary part; every PSD
-        # coefficient is purely imaginary and Hermitian, hence antisymmetric;
-        # the largest PSD scale; the largest |rhs| or |LP coefficient|.
-        imaginary = np.zeros(n_rows, dtype=bool)
-        antisymmetric = np.ones(n_rows, dtype=bool)
-        scale = np.ones(n_rows)
-        rest = np.abs(np.array([rhs for _, rhs, _ in self._rows], dtype=float))
-        for ref in self._refs:
-            rows = [i for i, (terms, _, _) in enumerate(self._rows) if ref.index in terms]
-            if not rows:
-                continue
-            c = np.stack([self._rows[i][0][ref.index] for i in rows])
-            if ref.kind == "lp":
-                rest[rows] = np.maximum(rest[rows], np.abs(c).max(axis=1))
-                continue
-            mag = _scale(c)
-            imaginary[rows] |= _large(c.imag, mag)
-            antisymmetric[rows] &= ~(
-                _large(c.real, mag) | _large(c + c.transpose(0, 2, 1), mag)
-            )
-            scale[rows] = np.maximum(scale[rows], mag)
-        # A purely imaginary Hermitian coefficient reads 0 on every real
-        # symmetric X, so its row may only be dropped when it asks for 0.
-        # Non-Hermitian data fall through to complex blocks, which reject them.
-        droppable = antisymmetric & (rest <= 1e-10 * scale)
-        if np.any(imaginary & ~droppable):
-            return None
-        return [row for row, drop in zip(self._rows, imaginary) if not drop]
+    def minimize(self, expr: Affine) -> None:
+        """Set the number-valued objective."""
+        self._objective = expr
 
     def build(self) -> ConicProblem:
-        rows = self._real_rows()
-        real = rows is not None
-        if not real:
-            rows = self._rows
-
-        def entries(terms: dict) -> tuple:
-            out = []
-            for ref in self._refs:
-                entry = terms.get(ref.index)
-                if real and entry is not None and ref.kind == "sdp":
-                    entry = np.real(entry)
-                out.append(entry)
-            return tuple(out)
-
+        # Per LMI: its block, -F0 and, for the parameters of the variables
+        # it involves, their indices and the stack of their F_k.
+        blocks, objective, coeffs = [], [], []
+        for lmi in self._lmis:
+            lp = lmi.offset.ndim < 2
+            shape = (lmi.offset.size,) if lp else lmi.offset.shape
+            blocks.append(Block("lp" if lp else "sdp", shape[0]))
+            objective.append(-lmi.offset.reshape(shape))
+            rows = [np.arange(s, s + len(st)) for s, st in lmi.terms.items()]
+            stack = [st.reshape(len(st), *shape) for st in lmi.terms.values()]
+            coeffs.append((np.concatenate(rows), np.concatenate(stack)))
+        rhs = np.zeros(self._n_params)
+        for start, st in self._objective.terms.items():
+            rhs[start : start + len(st)] = np.real(st)
+        kept = _real_rows(blocks, objective, coeffs, rhs)
+        real = kept is not None
+        self._kept = kept if real else np.arange(self._n_params)
+        entries = [[None] * len(blocks) for _ in range(self._n_params)]
+        for j, (rows, stack) in enumerate(coeffs):
+            if real:
+                stack = stack.real
+            nonzero = np.any(stack != 0, axis=tuple(range(1, stack.ndim)))
+            for k, f in zip(rows[nonzero], stack[nonzero]):
+                entries[k][j] = f
         return ConicProblem(
-            blocks=tuple(Block(ref.kind, ref.size) for ref in self._refs),
-            objective=entries(self._objective),
+            blocks=tuple(blocks),
+            objective=tuple(np.real(c) if real else c for c in objective),
             constraints=tuple(
-                Constraint(entries(terms), rhs, sense) for terms, rhs, sense in rows
+                Constraint(tuple(entries[k]), rhs[k]) for k in self._kept
             ),
-            maximize=self._maximize,
+            maximize=True,
         )
 
-    def extract(self, solution: ConicSolution, ref: _VarRef) -> np.ndarray:
-        """Read a variable's value out of a solution of the built problem."""
-        value = np.asarray(solution.primal_blocks[ref.index])
-        return value if ref.kind == "lp" else value.astype(np.complex128)
+    def extract(self, solution: ConicSolution, expr: Affine) -> np.ndarray:
+        """The value of an expression at the parameters t of a solution of the
+        last built problem."""
+        t = np.zeros(self._n_params)
+        t[self._kept] = solution.dual_multipliers
+        return expr.offset + sum(
+            np.tensordot(t[s : s + len(st)], st, axes=1) for s, st in expr.terms.items()
+        )
+
+    def value(self, solution: ConicSolution) -> float:
+        """The objective at the parameters t of a solution: its offset plus
+        c . t, which the solver reports as the dual value."""
+        return float(np.real(self._objective.offset) + solution.dual_value)
+
+
+def _real_rows(blocks: list, objective: list, coeffs: list, rhs: np.ndarray):
+    """The indices of the rows kept with real blocks, or None when the data
+    are not invariant under complex conjugation.
+
+    `coeffs` holds per block the rows it enters and their coefficients,
+    which are tested as one stack.
+    """
+    for block, c in zip(blocks, objective):
+        if block.kind == "sdp" and _large(c.imag, _scale(c)):
+            return None
+    n_rows = len(rhs)
+    # Per row: some PSD coefficient has an imaginary part; every PSD
+    # coefficient is purely imaginary and Hermitian, hence antisymmetric;
+    # the largest PSD scale; the largest |rhs| or |LP coefficient|.
+    imaginary = np.zeros(n_rows, dtype=bool)
+    antisymmetric = np.ones(n_rows, dtype=bool)
+    scale = np.ones(n_rows)
+    rest = np.abs(rhs)
+    for block, (rows, c) in zip(blocks, coeffs):
+        if block.kind == "lp":
+            rest[rows] = np.maximum(rest[rows], np.abs(c).max(axis=1))
+            continue
+        mag = _scale(c)
+        imaginary[rows] |= _large(c.imag, mag)
+        antisymmetric[rows] &= ~(
+            _large(c.real, mag) | _large(c + c.transpose(0, 2, 1), mag)
+        )
+        scale[rows] = np.maximum(scale[rows], mag)
+    # A purely imaginary Hermitian coefficient reads 0 on every real
+    # symmetric X, so its row may only be dropped when it asks for 0.
+    # Non-Hermitian data fall through to complex blocks, which reject them.
+    droppable = antisymmetric & (rest <= 1e-10 * scale)
+    if np.any(imaginary & ~droppable):
+        return None
+    return np.flatnonzero(~imaginary)

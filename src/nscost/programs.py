@@ -18,24 +18,24 @@ computed through the standard SDP form
     (1/2) ||N1 - N2||_dia = inf { gamma : tr_B Y <= gamma 1_A,
                                   Y >= J_N1 - J_N2, Y >= 0 }.
 
-All optimizations run through :class:`nscost.conic.HermitianProgram`, so the
-values reported here are in the complex Hermitian domain.
+Every program is stated as in its docstring, in LMI form through
+:class:`nscost.conic.HermitianProgram`: each matrix variable is free
+Hermitian, or ranges over the affine subspace that an equality constraint
+leaves (tr_B J~ = 1_A, tr V = m^2, the no-signalling code space), and each
+matrix inequality is one LMI. No program adds a slack variable or an
+equality row. The values reported are the objective at the solver's
+parameters, in the complex Hermitian domain.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import (
-    ConicSolution,
-    HermitianProgram,
-    SolverFailure,
-    dump_problem,
-    solve,
-)
+from .conic import Affine, HermitianProgram, SolverFailure, dump_problem, solve
 from .qmat import (
     QuantumChannel,
     hermitian_basis,
@@ -95,11 +95,6 @@ class CertificateCheck:
     gap: float
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product of two Hermitian matrices (a real number)."""
-    return float(np.real(np.sum(np.conj(a) * b)))
-
-
 def _ceil_sqrt(tr_v: float) -> int:
     """Smallest positive integer m with m^2 >= tr_v - 1e-6.
 
@@ -146,8 +141,9 @@ def _run(
     feas_tol: float,
     max_iter: int,
     dump_path: str | None,
-) -> ConicSolution:
-    """Build, optionally dump, and solve a program; demand an optimal status."""
+) -> float:
+    """Build, optionally dump, and solve a program; demand an optimal status
+    and return the objective at the solution's parameters."""
     problem = program.build()
     if dump_path is not None:
         dump_problem(problem, dump_path)
@@ -156,7 +152,7 @@ def _run(
         raise SolverFailure(
             f"conic solve finished with status '{sol.status}'", status=sol.status
         )
-    return sol
+    return program.value(sol)
 
 
 def _normalize_code(code: str) -> str:
@@ -171,6 +167,40 @@ def _check_eps(eps: float) -> float:
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"error tolerance must lie in [0, 1], got {eps}")
     return eps
+
+
+def _product_basis(dims: list[int], drop=()) -> np.ndarray:
+    """Orthonormal basis of the Hermitian operators on the product of `dims`:
+    tensor products of one of 1/sqrt(d) and traceless_hermitian_basis(d) on
+    each system, 1/sqrt(d) standing for that multiple of the identity.
+
+    A product is left out when its pattern matches one in `drop`, which
+    names per system "1" for 1/sqrt(d), "T" for a traceless element and "."
+    for either.
+    """
+    basis, patterns = np.ones((1, 1, 1)), [""]
+    for d in dims:
+        factors = np.stack([np.eye(d) / math.sqrt(d), *traceless_hermitian_basis(d)])
+        size = basis.shape[1] * d
+        basis = np.einsum("aij,bkl->abikjl", basis, factors).reshape(-1, size, size)
+        patterns = [p + c for p in patterns for c in "1" + "T" * (d * d - 1)]
+    keep = [not any(re.fullmatch(pat, p) for pat in drop) for p in patterns]
+    return basis[keep]
+
+
+def _channel_variable(hp: HermitianProgram, da: int, db: int) -> Affine:
+    """A Hermitian J on A (x) B with tr_B J = 1_A: 1/d_B plus the components
+    that are traceless on B."""
+    return hp.variable(_product_basis([da, db], [".1"]), np.eye(da * db) / db)
+
+
+def _add_diamond_ball(hp: HermitianProgram, delta, da: int, db: int, radius) -> None:
+    """Require (1/2) ||Delta||_dia <= radius for a difference Delta of Choi
+    matrices on A (x) B: tr_B Y <= radius 1_A with Y >= Delta and Y >= 0."""
+    y = hp.variable(hermitian_basis(da * db))
+    hp.add_lmi(radius * np.eye(da) - y.map(partial_trace, [da, db], 1))
+    hp.add_lmi(y - delta)
+    hp.add_lmi(y)
 
 
 def diamond_norm_dist(
@@ -196,49 +226,13 @@ def diamond_norm_dist(
             f"channel dimensions differ: {(n1.dim_in, n1.dim_out)} vs "
             f"{(n2.dim_in, n2.dim_out)}"
         )
-    da, db = n1.dim_in, n1.dim_out
-    diff = n1.choi - n2.choi
     hp = HermitianProgram()
-    gamma = hp.add_nonneg(1)
-    y = hp.add_psd(da * db)
-    z = hp.add_psd(da * db)
-    w = hp.add_psd(da)
-    # z = y - (J_N1 - J_N2)
-    for h in hermitian_basis(da * db):
-        hp.add_eq({z: h, y: -h}, -_inner(h, diff))
-    # w = gamma 1_A - tr_B y
-    for f in hermitian_basis(da):
-        tr_f = float(np.real(np.trace(f)))
-        hp.add_eq(
-            {w: f, y: lift(f, [0], [da, db]), gamma: np.array([-tr_f])}, 0.0
-        )
-    hp.set_objective({gamma: np.ones(1)})
-    sol = _run(
+    gamma = hp.variable([1.0])
+    _add_diamond_ball(hp, n1.choi - n2.choi, n1.dim_in, n1.dim_out, gamma)
+    hp.minimize(gamma)
+    return _run(
         hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
     )
-    return float(sol.primal_value)
-
-
-def _no_signalling_rows(hp: HermitianProgram, j_pi, dims: list[int]) -> None:
-    """Add the two marginal no-signalling conditions on a code variable.
-
-    With J_Pi ordered (A_i, B_i, A_o, B_o), "A cannot signal to B" says
-    tr_{A_o} J_Pi has no traceless component on A_i, and "B cannot signal
-    to A" says tr_{B_o} J_Pi has no traceless component on B_i. Components
-    already fixed by trace preservation are omitted so the rows stay
-    linearly independent.
-    """
-    d_ai, d_bi, d_ao, d_bo = dims
-    for t in traceless_hermitian_basis(d_ai):
-        for f in hermitian_basis(d_bi):
-            tf = kron(t, f)
-            for g in traceless_hermitian_basis(d_bo):
-                hp.add_eq({j_pi: lift(kron(tf, g), [0, 1, 3], dims)}, 0.0)
-    for f in hermitian_basis(d_ai):
-        for t in traceless_hermitian_basis(d_bi):
-            ft = kron(f, t)
-            for g in traceless_hermitian_basis(d_ao):
-                hp.add_eq({j_pi: lift(kron(ft, g), [0, 1, 2], dims)}, 0.0)
 
 
 def min_error_simulation(
@@ -262,6 +256,12 @@ def min_error_simulation(
 
     and the objective is half the diamond distance between M~ and m.
 
+    The code variable is parametrized over the NS code space. On the
+    product basis of `_product_basis` over (A_i, B_i, A_o, B_o), trace
+    preservation tr_{A_o B_o} J_Pi = 1_{A_i B_i} fixes the (., ., 1, 1)
+    components, "A cannot signal to B" zeroes the (T, ., 1, T) ones and "B
+    cannot signal to A" the (., T, T, 1) ones.
+
     Args:
         n: the available resource channel, mapping A_o to B_i.
         m: the target channel, mapping A_i to B_o.
@@ -274,44 +274,24 @@ def min_error_simulation(
     d_ai, d_bo = m.dim_in, m.dim_out
     d_ao, d_bi = n.dim_in, n.dim_out
     dims = [d_ai, d_bi, d_ao, d_bo]
-    d_tot = d_ai * d_bi * d_ao * d_bo
-    d_sim = d_ai * d_bo
 
     hp = HermitianProgram()
-    gamma = hp.add_nonneg(1)
-    y = hp.add_psd(d_sim)
-    j_pi = hp.add_psd(d_tot)
-    z = hp.add_psd(d_sim)
-    w = hp.add_psd(d_ai)
-
-    # w = gamma 1_{A_i} - tr_{B_o} y
-    for f in hermitian_basis(d_ai):
-        tr_f = float(np.real(np.trace(f)))
-        hp.add_eq(
-            {w: f, y: lift(f, [0], [d_ai, d_bo]), gamma: np.array([-tr_f])}, 0.0
-        )
-    # z = y - J_M~ + J_M, with J_M~ linear in j_pi
+    gamma = hp.variable([1.0])
+    j_pi = hp.variable(
+        _product_basis(dims, ["..11", "T.1T", ".TT1"]),
+        np.eye(math.prod(dims)) / (d_ao * d_bo),
+    )
+    # J_M~ = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi
     lifted_jn_t = lift(n.choi.T, [2, 1], dims)
-    for h in hermitian_basis(d_sim):
-        coeff = lifted_jn_t @ lift(h, [0, 3], dims)
-        hp.add_eq({z: h, y: -h, j_pi: coeff}, _inner(h, m.choi))
-    # Trace preservation of the code: tr_{A_o B_o} J_Pi = 1_{A_i B_i}
-    for f in hermitian_basis(d_ai):
-        tr_f = float(np.real(np.trace(f)))
-        for g in hermitian_basis(d_bi):
-            rhs = tr_f * float(np.real(np.trace(g)))
-            hp.add_eq({j_pi: lift(kron(f, g), [0, 1], dims)}, rhs)
-    _no_signalling_rows(hp, j_pi, dims)
+    j_eff = j_pi.map(lambda a: partial_trace(lifted_jn_t @ a, dims, [1, 2]))
+    _add_diamond_ball(hp, j_eff - m.choi, d_ai, d_bo, gamma)
+    hp.add_lmi(j_pi)
     if code == "NS_PPT":
-        p = hp.add_psd(d_tot)
-        for h in hermitian_basis(d_tot):
-            hp.add_eq({p: h, j_pi: -partial_transpose(h, dims, [1, 3])}, 0.0)
-
-    hp.set_objective({gamma: np.ones(1)})
-    sol = _run(
+        hp.add_lmi(j_pi.map(partial_transpose, dims, [1, 3]))
+    hp.minimize(gamma)
+    return _run(
         hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
     )
-    return float(sol.primal_value)
 
 
 def min_error_noiseless(
@@ -346,86 +326,46 @@ def min_error_noiseless(
     m = int(m)
     code = _normalize_code(code)
     da, db = n.dim_in, n.dim_out
-    dab = da * db
 
     hp = HermitianProgram()
-    gamma = hp.add_nonneg(1)
-    y = hp.add_psd(dab)
-    v = hp.add_psd(db)
-    w = hp.add_psd(da)
-    for f in hermitian_basis(da):
-        tr_f = float(np.real(np.trace(f)))
-        hp.add_eq(
-            {w: f, y: lift(f, [0], [da, db]), gamma: np.array([-tr_f])}, 0.0
-        )
-    hp.add_eq({v: np.eye(db, dtype=np.complex128)}, float(m * m))
-
+    gamma = hp.variable([1.0])
+    v = hp.variable(traceless_hermitian_basis(db), m * m / db * np.eye(db))
+    one_v = v.map(lift, [1], [da, db])  # 1_A (x) V
     if m == 1:
-        # J~ = 1 (x) V exactly; only the diamond-distance part survives.
-        z1 = hp.add_psd(dab)
-        for h in hermitian_basis(dab):
-            v_coeff = partial_trace(h, [da, db], 0)
-            hp.add_eq({z1: h, y: -h, v: v_coeff}, _inner(h, n.choi))
+        # J~ = 1 (x) V exactly, which is >= 0 when V is.
+        jt = one_v
+        hp.add_lmi(v)
     else:
-        jt = hp.add_psd(dab)
-        z1 = hp.add_psd(dab)
-        z2 = hp.add_psd(dab)
-        for h in hermitian_basis(dab):
-            hp.add_eq({z1: h, y: -h, jt: h}, _inner(h, n.choi))
-        for f in hermitian_basis(da):
-            hp.add_eq({jt: lift(f, [0], [da, db])}, float(np.real(np.trace(f))))
-        for h in hermitian_basis(dab):
-            hp.add_eq({z2: h, jt: h, v: -partial_trace(h, [da, db], 0)}, 0.0)
+        jt = _channel_variable(hp, da, db)
+        hp.add_lmi(jt)
+        hp.add_lmi(one_v - jt)
         if code == "NS_PPT":
-            p1 = hp.add_psd(dab)
-            p2 = hp.add_psd(dab)
-            for h in hermitian_basis(dab):
-                h_tb = partial_transpose(h, [da, db], 1)
-                v_t = np.conj(partial_trace(h, [da, db], 0))
-                hp.add_eq({p1: h, jt: -m * h_tb, v: -v_t}, 0.0)
-                hp.add_eq({p2: h, jt: m * h_tb, v: -v_t}, 0.0)
-
-    hp.set_objective({gamma: np.ones(1)})
-    sol = _run(
+            one_vt = v.map(np.transpose).map(lift, [1], [da, db])
+            jt_tb = m * jt.map(partial_transpose, [da, db], 1)
+            hp.add_lmi(one_vt - jt_tb)
+            hp.add_lmi(one_vt + jt_tb)
+    _add_diamond_ball(hp, jt - n.choi, da, db, gamma)
+    hp.minimize(gamma)
+    return _run(
         hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
     )
-    return float(sol.primal_value)
 
 
-def _zero_error_trv(
-    n: QuantumChannel,
-    *,
-    gap_tol: float,
-    feas_tol: float,
-    max_iter: int,
-    dump_path: str | None,
-) -> float:
-    """Optimal value of min { tr V : J_N <= 1_A (x) V }."""
-    da, db = n.dim_in, n.dim_out
+def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
+    """min { tr V : J_N <= 1_A (x) V }, and its variable V."""
     hp = HermitianProgram()
-    v = hp.add_psd(db)
-    z = hp.add_psd(da * db)
-    # z = 1 (x) V - J_N
-    for h in hermitian_basis(da * db):
-        hp.add_eq(
-            {z: h, v: -partial_trace(h, [da, db], 0)}, -_inner(h, n.choi)
-        )
-    hp.set_objective({v: np.eye(db, dtype=np.complex128)})
-    sol = _run(
-        hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
-    return float(sol.primal_value)
+    v = hp.variable(hermitian_basis(n.dim_out))
+    hp.add_lmi(v.map(lift, [1], [n.dim_in, n.dim_out]) - n.choi)
+    hp.minimize(v.map(np.trace))
+    return hp, v
 
 
-def _eps_simulation_trv(
-    n: QuantumChannel,
-    eps: float,
-    *,
-    gap_tol: float,
-    feas_tol: float,
-    max_iter: int,
-    dump_path: str | None,
-) -> float:
+def _zero_error_trv(n: QuantumChannel, **kw) -> float:
+    """Optimal value of min { tr V : J_N <= 1_A (x) V }."""
+    return _run(_zero_error_program(n)[0], **kw)
+
+
+def _eps_simulation_trv(n: QuantumChannel, eps: float, **kw) -> float:
     """Optimal tr V for simulating n within diamond-norm error eps.
 
     The program optimizes jointly over the simulating channel J~ and the
@@ -438,33 +378,14 @@ def _eps_simulation_trv(
     :func:`_zero_error_trv`, whose feasible set keeps an interior.
     """
     da, db = n.dim_in, n.dim_out
-    dab = da * db
     hp = HermitianProgram()
-    y = hp.add_psd(dab)
-    jt = hp.add_psd(dab)
-    v = hp.add_psd(db)
-    w = hp.add_psd(da)
-    z1 = hp.add_psd(dab)
-    z2 = hp.add_psd(dab)
-    # w = eps 1_A - tr_B y
-    for f in hermitian_basis(da):
-        hp.add_eq(
-            {w: f, y: lift(f, [0], [da, db])}, eps * float(np.real(np.trace(f)))
-        )
-    # z1 = y - J~ + J_N
-    for h in hermitian_basis(dab):
-        hp.add_eq({z1: h, y: -h, jt: h}, _inner(h, n.choi))
-    # trace preservation of J~
-    for f in hermitian_basis(da):
-        hp.add_eq({jt: lift(f, [0], [da, db])}, float(np.real(np.trace(f))))
-    # z2 = 1 (x) V - J~
-    for h in hermitian_basis(dab):
-        hp.add_eq({z2: h, jt: h, v: -partial_trace(h, [da, db], 0)}, 0.0)
-    hp.set_objective({v: np.eye(db, dtype=np.complex128)})
-    sol = _run(
-        hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
-    return float(sol.primal_value)
+    jt = _channel_variable(hp, da, db)
+    v = hp.variable(hermitian_basis(db))
+    _add_diamond_ball(hp, jt - n.choi, da, db, eps)
+    hp.add_lmi(jt)
+    hp.add_lmi(v.map(lift, [1], [da, db]) - jt)
+    hp.minimize(v.map(np.trace))
+    return _run(hp, **kw)
 
 
 def _trv_at_eps(n: QuantumChannel, eps: float, **kw) -> float:

@@ -157,14 +157,16 @@ def classical_cost_lp(
     """Simulation cost of a classical channel N(y|x) under NS correlations.
 
     The conditional distributions are rows of the input matrix. The cost LP
-    optimizes a simulating channel Nt together with envelope values V_y,
+    optimizes envelope values V_y and clipping slacks Y_xy,
 
-        min sum_y V_y  s.t.  Nt(y|x) <= V_y,  Y_xy >= Nt(y|x) - N(y|x),
-                             Y_xy >= 0,  sum_y Y_xy <= eps per input x,
-                             Nt row-stochastic,
+        min sum_y V_y  s.t.  V_y >= 0,  sum_y V_y >= 1,  Y_xy >= 0,
+                             Y_xy >= N(y|x) - V_y,  sum_y Y_xy <= eps per x,
 
-    and reports tr V = sum_y V_y. At eps = 0 the simulator is forced to
-    equal the channel and the optimum is sum_y max_x N(y|x) directly.
+    and reports tr V = sum_y V_y. This is the program over a row-stochastic
+    simulator Nt(y|x) <= V_y within eps of N in total variation, with Nt
+    left out: such an Nt exists exactly when sum_y V_y >= 1 and the mass of
+    N above V, sum_y (N(y|x) - V_y)_+, is at most eps for every x. At eps = 0
+    the optimum is sum_y max_x N(y|x) directly.
 
     Raises:
         ValueError: if the matrix is not row-stochastic or eps is out of range.
@@ -184,29 +186,14 @@ def classical_cost_lp(
         return cost_result_from_trv(float(np.sum(np.max(mat, axis=0))))
 
     hp = HermitianProgram()
-    nt = hp.add_nonneg(n_in * n_out)
-    v = hp.add_nonneg(n_out)
-    y = hp.add_nonneg(n_in * n_out)
-
-    def entry(x_idx, y_idx):
-        e = np.zeros(n_in * n_out)
-        e[x_idx * n_out + y_idx] = 1.0
-        return e
-
-    for x_idx in range(n_in):
-        row = np.zeros(n_in * n_out)
-        row[x_idx * n_out : (x_idx + 1) * n_out] = 1.0
-        hp.add_eq({nt: row}, 1.0)
-        hp.add_le({y: row}, eps)
-        for y_idx in range(n_out):
-            e_v = np.zeros(n_out)
-            e_v[y_idx] = 1.0
-            hp.add_le({nt: entry(x_idx, y_idx), v: -e_v}, 0.0)
-            hp.add_le(
-                {nt: entry(x_idx, y_idx), y: -entry(x_idx, y_idx)},
-                float(mat[x_idx, y_idx]),
-            )
-    hp.set_objective({v: np.ones(n_out)})
+    v = hp.variable(np.eye(n_out))
+    y = hp.variable(np.eye(n_in * n_out))  # Y_xy at x * n_out + y
+    hp.add_lmi(v)
+    hp.add_lmi(v.map(np.sum) - 1.0)
+    hp.add_lmi(y)
+    hp.add_lmi(y - mat.reshape(-1) + v.map(np.tile, n_in))
+    hp.add_lmi(eps - y.map(lambda a: a.reshape(n_in, n_out).sum(axis=1)))
+    hp.minimize(v.map(np.sum))
     problem = hp.build()
     if dump_path is not None:
         dump_problem(problem, dump_path)
@@ -216,7 +203,7 @@ def classical_cost_lp(
             f"classical cost LP finished with status '{sol.status}'",
             status=sol.status,
         )
-    return cost_result_from_trv(float(sol.primal_value))
+    return cost_result_from_trv(hp.value(sol))
 
 
 def depolarizing_mutual_info(d: int, p: float) -> float:

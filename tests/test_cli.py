@@ -10,7 +10,7 @@ import numpy as np
 
 from nscost.analytic import ClosedForm
 from nscost.cli import emit_figure2, run
-from nscost.conic import problem_from_json, solve
+from nscost.conic import Block, problem_from_json, solve
 from nscost.programs import one_shot_cost_ns
 from nscost.qmat import make_channel
 from nscost.symmetry import depolarizing_cost_lp, depolarizing_mutual_info
@@ -321,7 +321,12 @@ def test_dump_problem_of_complex_channel(tmp_path, capsys):
                 "--dump-problem", str(dump)]) == 0
     capsys.readouterr()
     problem = problem_from_json(json.loads(dump.read_text()))
-    assert problem.blocks[0].size == 2
+    # The Lagrange dual of min { tr V : J <= 1 (x) V }: one block for the
+    # LMI, and one row per real parameter of V, all four kept for complex J.
+    assert problem.maximize
+    assert problem.blocks == (Block("sdp", 4),)
+    assert len(problem.constraints) == 4
+    assert np.iscomplexobj(problem.objective[0])
     assert np.iscomplexobj(problem.constraints[0].coeffs[0])
     sol = solve(problem)
     assert sol.status == "optimal"

@@ -110,16 +110,18 @@ def sym_basis(n):
     return out
 
 
-def maxinfo_dual(j):
-    """max tr(J X) s.t. tr_A X + S = 1_B, X, S >= 0 on two qubits, one row
-    per element of the Hermitian basis of B."""
+def maxinfo_dual(j, basis=None, weight=None):
+    """min tr(W V) s.t. 1 (x) V >= J on two qubits, over V in the span of
+    `basis` (default hermitian_basis(2)) with W = 1 by default. Its build is
+    the Lagrange dual max tr(J X) s.t. <1 (x) B_k, X> = tr(W B_k), X >= 0:
+    one row per basis element B_k."""
+    basis = hermitian_basis(2) if basis is None else basis
+    weight = np.eye(2) if weight is None else weight
     prog = HermitianProgram()
-    x = prog.add_psd(4)
-    slack = prog.add_psd(2)
-    for h in hermitian_basis(2):
-        prog.add_eq({x: lift(h, [1], [2, 2]), slack: h}, float(np.trace(h).real))
-    prog.set_objective({x: j}, maximize=True)
-    return prog, x, slack
+    v = prog.variable(basis)
+    prog.add_lmi(v.map(lift, [1], [2, 2]) - j)
+    prog.minimize(v.map(lambda a: np.trace(weight @ a)))
+    return prog, v
 
 
 class TestSolveBasics:
@@ -156,17 +158,26 @@ class TestSolveBasics:
         assert abs(sol.primal_value - 1.0) < 1e-8
 
     def test_maxinfo_dual_of_depolarizing(self):
-        # max tr(J X) s.t. tr_A X <= 1_B, X >= 0 for d=2, p=0.3.
-        # Optimum is d^2 (1-p) + p = 3.1 (attained by X = sum_ij |ii><jj|).
+        # min tr V s.t. 1 (x) V >= J for d=2, p=0.3, built as its dual
+        # max tr(J X) s.t. tr_A X = 1_B, X >= 0. Both optima are
+        # d^2 (1-p) + p = 3.1 (attained by X = sum_ij |ii><jj|).
         j = make_channel("depolarizing", d=2, p=0.3).choi
-        prog, x, _ = maxinfo_dual(j)
-        sol = solve(prog.build())
+        prog, v = maxinfo_dual(j)
+        problem = prog.build()
+        assert problem.maximize
+        sol = solve(problem)
         assert sol.status == "optimal"
         assert abs(sol.primal_value - 3.1) < 1e-8
-        x_opt = prog.extract(sol, x)
-        # Real data: the real form's block comes back as a complex matrix.
-        assert x_opt.shape == (4, 4) and x_opt.dtype == np.complex128
-        assert np.array_equal(x_opt, x_opt.conj().T)
+        assert abs(prog.value(sol) - 3.1) < 1e-8
+        v_opt = prog.extract(sol, v)
+        # Real data: the dropped imaginary parameter reads 0, and V comes
+        # back as a complex matrix.
+        assert v_opt.shape == (2, 2) and v_opt.dtype == np.complex128
+        assert np.array_equal(v_opt, v_opt.conj().T)
+        assert abs(np.trace(v_opt).real - 3.1) < 1e-8
+        assert np.linalg.eigvalsh(np.kron(np.eye(2), v_opt) - j)[0] > -1e-8
+        x_opt = sol.primal_blocks[0]
+        assert x_opt.shape == (4, 4)
         assert np.linalg.eigvalsh(x_opt)[0] > -1e-8
         assert abs(np.real(np.sum(j.conj() * x_opt)) - 3.1) < 1e-8
 
@@ -202,7 +213,7 @@ class TestSolveBasics:
 
     def test_max_iter_status(self):
         j = make_channel("depolarizing", d=2, p=0.3).choi
-        prog, _, _ = maxinfo_dual(j)
+        prog, _ = maxinfo_dual(j)
         sol = solve(prog.build(), max_iter=2)
         assert sol.status == "max_iter"
         assert sol.iterations == 2
@@ -232,7 +243,7 @@ class TestRealForm:
     def test_real_data_build_blocks_of_size_n_without_imaginary_rows(self):
         j = make_channel("depolarizing", d=2, p=0.3).choi
         problem = maxinfo_dual(j)[0].build()
-        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        assert problem.blocks == (Block("sdp", 4),)
         # hermitian_basis(2) has one imaginary element; its row reads 0 = 0
         # on real X and is dropped. The rest keep their rhs undoubled.
         assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0]
@@ -243,17 +254,18 @@ class TestRealForm:
         j = make_channel("depolarizing", d=2, p=0.3).choi
         noisy = j + 1e-16 * lift(self.SIGMA_Y, [1], [2, 2])
         problem = maxinfo_dual(noisy)[0].build()
-        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        assert problem.blocks == (Block("sdp", 4),)
+        assert problem.objective[0].dtype == np.float64
 
     def test_complex_objective_takes_complex_blocks(self):
         # Rotating the output by a complex unitary leaves the optimum at 3.1.
         u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
         lift_u = np.kron(np.eye(2), u)
         j = lift_u @ make_channel("depolarizing", d=2, p=0.3).choi @ lift_u.conj().T
-        prog, x, _ = maxinfo_dual(j)
+        prog, v = maxinfo_dual(j)
         problem = prog.build()
         # Complex data: n x n blocks, every row kept, nothing doubled or halved.
-        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
+        assert problem.blocks == (Block("sdp", 4),)
         assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0, 0.0]
         assert problem.objective[0].dtype == np.complex128
         assert np.allclose(problem.objective[0], j, rtol=0.0, atol=1e-15)
@@ -261,26 +273,36 @@ class TestRealForm:
         assert sol.status == "optimal"
         assert abs(sol.primal_value - 3.1) < 1e-8
         assert np.iscomplexobj(sol.primal_blocks[0])
-        assert prog.extract(sol, x).shape == (4, 4)
+        assert prog.extract(sol, v).shape == (2, 2)
 
+    # The last basis element of V is mixed (1 + sigma_y), or purely
+    # imaginary (sigma_y) with a weight that asks its row for tr(W sigma_y)
+    # = 0.1; either row keeps the program on complex blocks.
     @pytest.mark.parametrize(
-        "coeff, rhs",
-        [(np.eye(2) + SIGMA_Y, 0.0), (SIGMA_Y, 0.1)],
+        "element, weight, rhs",
+        [
+            (np.eye(2) + SIGMA_Y, np.eye(2), 2.0),
+            (SIGMA_Y, np.eye(2) + 0.05 * SIGMA_Y, 0.1),
+        ],
         ids=["mixed-row", "imaginary-row-asking-nonzero"],
     )
-    def test_rows_not_invariant_under_conjugation_take_complex_blocks(self, coeff, rhs):
+    def test_rows_not_invariant_under_conjugation_take_complex_blocks(
+        self, element, weight, rhs
+    ):
         j = make_channel("depolarizing", d=2, p=0.3).choi
-        prog, _, slack = maxinfo_dual(j)
-        prog.add_le({slack: coeff}, rhs)
-        problem = prog.build()
-        assert problem.blocks == (Block("sdp", 4), Block("sdp", 2))
-        assert [c.rhs for c in problem.constraints] == [1.0, 1.0, 0.0, 0.0, rhs]
-        added = problem.constraints[-1].coeffs[1]
-        assert added.dtype == np.complex128 and np.array_equal(added, coeff)
+        basis = [*hermitian_basis(2)[:3], element]
+        problem = maxinfo_dual(j, basis, weight)[0].build()
+        assert problem.blocks == (Block("sdp", 4),)
+        assert [c.rhs for c in problem.constraints] == pytest.approx(
+            [1.0, 1.0, 0.0, rhs], abs=1e-15
+        )
+        added = problem.constraints[-1].coeffs[0]
+        assert added.dtype == np.complex128
+        assert np.array_equal(added, np.kron(np.eye(2), element))
 
     def test_non_hermitian_imaginary_row_is_rejected(self):
-        prog, _, slack = maxinfo_dual(make_channel("depolarizing", d=2, p=0.3).choi)
-        prog.add_eq({slack: 1j * np.eye(2)}, 0.0)
+        j = make_channel("depolarizing", d=2, p=0.3).choi
+        prog, _ = maxinfo_dual(j, [*hermitian_basis(2), 1j * np.eye(2)])
         with pytest.raises(ValueError, match="Hermitian"):
             prog.build()
 

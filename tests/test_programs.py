@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nscost.programs
-from nscost.conic import SolverFailure, problem_from_json
+from nscost.conic import SolverFailure, problem_from_json, solve
 from nscost.programs import (
     CertificatePair,
     choi_compose,
@@ -28,6 +28,7 @@ from nscost.qmat import (
     kron,
     make_channel,
     subsystem_permute,
+    tensor_channels,
 )
 
 from oracles import random_channel
@@ -481,6 +482,77 @@ def test_certificate_shapes_validated():
 
 # ---------------------------------------------------------------------------
 # Real and complex blocks of the same program
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("depolarizing", {"d": 2, "p": 0.15}),
+        ("amplitude_damping", {"r": 0.3}),
+        ("dephasing", {"p": 0.2}),
+        ("erasure", {"d": 2, "p": 0.3}),
+        ("depolarizing", {"d": 3, "p": 0.15}),
+        ("erasure", {"d": 3, "p": 0.3}),
+    ],
+    ids=["depolarizing", "amplitude-damping", "dephasing", "erasure",
+         "qutrit-depolarizing", "qutrit-erasure"],
+)
+def test_zero_error_solve_is_a_certificate(family, params):
+    # The zero-error program is built as its Lagrange dual, so one solve
+    # holds both halves of a weak-duality certificate: V from the
+    # multipliers, X from the one primal block.
+    channel = make_channel(family, **params)
+    hp, v = nscost.programs._zero_error_program(channel)
+    sol = solve(hp.build(), gap_tol=1e-10, feas_tol=1e-10)
+    assert sol.status == "optimal" and len(sol.primal_blocks) == 1
+    pair = CertificatePair(primal_v=hp.extract(sol, v), dual_x=sol.primal_blocks[0])
+    check = verify_certificate(channel, pair)
+    assert check.status == "optimal_confirmed", check
+
+
+def test_programs_have_one_row_per_real_parameter(monkeypatch):
+    # Real data drop the imaginary parameters, so a free Hermitian variable
+    # on C^n has sym(n) rows, and one with tr_B J = 1_A on A (x) B has
+    # sym(d_A d_B) - sym(d_A). No program adds an equality row of its own.
+    def sym(n):
+        return n * (n + 1) // 2
+
+    shapes = []
+    solve_ = nscost.programs.solve
+
+    def recording_solve(problem, **kw):
+        sizes = [b.size for b in problem.blocks if b.kind == "sdp"]
+        shapes.append((len(problem.constraints), sizes))
+        return solve_(problem, **kw)
+
+    monkeypatch.setattr(nscost.programs, "solve", recording_solve)
+
+    def rows(run):
+        shapes.clear()
+        run()
+        return [m for m, _ in shapes]
+
+    two_uses = tensor_channels(depol(0.15), depol(0.15))
+    zero_error_cost(depol(0.15))
+    assert shapes == [(3, [4])]  # V on a qubit
+    assert rows(lambda: zero_error_cost(two_uses)) == [sym(4)]
+    # Y, J~ and V.
+    assert rows(lambda: one_shot_cost_ns(depol(0.15), 0.05)) == [
+        sym(4) + sym(4) - sym(2) + sym(2)
+    ] == [20]
+    assert rows(lambda: one_shot_cost_ns(two_uses, 0.05)) == [
+        sym(16) + sym(16) - sym(4) + sym(4)
+    ] == [272]
+    # gamma, Y, J~, and V with tr V = m^2.
+    assert rows(lambda: min_error_noiseless(2, depol(0.15, d=3), "NS_PPT")) == [
+        1 + sym(9) + sym(9) - sym(3) + sym(3) - 1
+    ] == [90]
+    # gamma, Y, and the 88 real parameters of the qubit NS code space; the
+    # PPT condition adds an LMI but no parameter.
+    resource = make_channel("amplitude_damping", r=0.2)
+    ns = rows(lambda: min_error_simulation(resource, depol(0.3), "NS"))
+    ns_ppt = rows(lambda: min_error_simulation(resource, depol(0.3), "NS_PPT"))
+    assert ns == ns_ppt == [1 + sym(4) + 88]
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,19 @@ def test_classical_lp_matches_reference_solver():
             assert abs(mine - ref) <= 1e-7, (trial, eps)
 
 
+def test_classical_lp_without_simulator_matches_highs():
+    # The LP over V and Y alone, against HiGHS on the program that keeps the
+    # simulator Nt, on random channels of 2 to 16 inputs and outputs.
+    rng = np.random.default_rng(29)
+    for shape in ((2, 2), (3, 5), (5, 3), (8, 8), (4, 16), (16, 4), (16, 16)):
+        mat = rng.random(shape)
+        mat /= mat.sum(axis=1, keepdims=True)
+        for eps in (0.01, 0.1, 0.3):
+            mine = classical_cost_lp(mat, eps).tr_v_opt
+            ref = classical_cost_linprog(mat, eps)
+            assert abs(mine - ref) <= 1e-8 * ref, (shape, eps)
+
+
 def test_classical_lp_monotone_in_eps():
     mat = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
     vals = [classical_cost_lp(mat, e).tr_v_opt for e in (0.0, 0.05, 0.2)]
