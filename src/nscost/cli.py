@@ -26,7 +26,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,83 +52,34 @@ _FIG2_EPS = (5e-4, 5e-3, 5e-2)
 _FIG3_FAMILIES = ("depolarizing", "amplitude_damping", "dephasing", "erasure")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated options of one CLI invocation."""
-
-    subcommand: str
-    channel: str | None = None
-    channel_b: str | None = None
-    matrix: str | None = None
-    d: int = 2
-    p: float | None = None
-    r: float | None = None
-    p_b: float | None = None
-    r_b: float | None = None
-    eps: float | None = None
-    eps_list: tuple[float, ...] = _FIG2_EPS
-    n_max: int = 300
-    grid: int = 101
-    code: str = "ns"
-    out: str | None = None
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-    dump_path: str | None = None
-    jobs: int = 1
+_SOLVER_FLAGS = ("gap_tol", "feas_tol", "max_iter", "dump_path")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = int(os.environ.get("NSCOST_JOBS", "1"))
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    eps_list = _FIG2_EPS
-    if getattr(args, "eps_list", None):
-        eps_list = tuple(float(tok) for tok in args.eps_list.split(","))
-        if not eps_list:
-            raise ValueError("--eps-list must name at least one tolerance")
-    for value in (getattr(args, "eps", None), *eps_list):
+def _validate(args: argparse.Namespace) -> None:
+    """Make the checks argparse cannot, filling in --jobs and --eps-list."""
+    if "jobs" in args:
+        if args.jobs is None:
+            args.jobs = int(os.environ.get("NSCOST_JOBS", "1"))
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if "eps_list" in args:
+        args.eps_list = (
+            tuple(float(tok) for tok in args.eps_list.split(","))
+            if args.eps_list
+            else _FIG2_EPS
+        )
+    for value in (getattr(args, "eps", None), *getattr(args, "eps_list", ())):
         if value is not None and not 0.0 <= value <= 1.0:
             raise ValueError(f"error tolerance must lie in [0, 1], got {value}")
-    n_max = getattr(args, "n_max", 300)
-    if n_max < 1:
-        raise ValueError(f"--n-max must be at least 1, got {n_max}")
-    grid = getattr(args, "grid", 101)
-    if grid < 2:
-        raise ValueError(f"--grid needs at least two points, got {grid}")
-    return RunConfig(
-        subcommand=args.subcommand,
-        channel=getattr(args, "family", None) or getattr(args, "a", None),
-        channel_b=getattr(args, "b", None),
-        matrix=getattr(args, "matrix", None),
-        d=getattr(args, "d", 2),
-        p=getattr(args, "p", None),
-        r=getattr(args, "r", None),
-        p_b=getattr(args, "pb", None),
-        r_b=getattr(args, "rb", None),
-        eps=getattr(args, "eps", None),
-        eps_list=eps_list,
-        n_max=n_max,
-        grid=grid,
-        code=getattr(args, "code", "ns"),
-        out=getattr(args, "out", None),
-        gap_tol=getattr(args, "gap_tol", 1e-8),
-        feas_tol=getattr(args, "feas_tol", 1e-8),
-        max_iter=getattr(args, "max_iter", 200),
-        dump_path=getattr(args, "dump_problem", None),
-        jobs=jobs,
-    )
+    if "n_max" in args and args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if "grid" in args and args.grid < 2:
+        raise ValueError(f"--grid needs at least two points, got {args.grid}")
 
 
-def _solver_kw(cfg: RunConfig) -> dict:
-    return {
-        "gap_tol": cfg.gap_tol,
-        "feas_tol": cfg.feas_tol,
-        "max_iter": cfg.max_iter,
-        "dump_path": cfg.dump_path,
-    }
+def _solver_kw(args: argparse.Namespace) -> dict:
+    """The solver flags that were given; `conic.solve` defaults the rest."""
+    return {name: getattr(args, name) for name in _SOLVER_FLAGS if name in args}
 
 
 def _load_choi_file(path: str) -> QuantumChannel:
@@ -197,67 +147,64 @@ def _cost_line(res: CostResult) -> str:
 # Subcommand handlers
 
 
-def _cmd_cost(cfg: RunConfig) -> int:
-    channel = _make_named_channel(cfg.channel, cfg.d, cfg.p, cfg.r)
-    eps = cfg.eps if cfg.eps is not None else 0.0
-    code = cfg.code.strip().lower().replace("-", "_")
+def _cmd_cost(args: argparse.Namespace) -> int:
+    channel = _make_named_channel(args.family, args.d, args.p, args.r)
+    code = args.code.strip().lower().replace("-", "_")
     if code == "ns":
-        res = one_shot_cost_ns(channel, eps, **_solver_kw(cfg))
+        res = one_shot_cost_ns(channel, args.eps, **_solver_kw(args))
     elif code == "ns_ppt":
-        res = one_shot_cost_ns_ppt(channel, eps, **_solver_kw(cfg))
+        res = one_shot_cost_ns_ppt(channel, args.eps, **_solver_kw(args))
     else:
-        raise ValueError(f"unknown code class {cfg.code!r}, expected ns or ns-ppt")
+        raise ValueError(f"unknown code class {args.code!r}, expected ns or ns-ppt")
     print(_cost_line(res))
     return 0
 
 
-def _cmd_zero_error(cfg: RunConfig) -> int:
-    channel = _make_named_channel(cfg.channel, cfg.d, cfg.p, cfg.r)
-    res = zero_error_cost(channel, **_solver_kw(cfg))
+def _cmd_zero_error(args: argparse.Namespace) -> int:
+    channel = _make_named_channel(args.family, args.d, args.p, args.r)
+    res = zero_error_cost(channel, **_solver_kw(args))
     print(_cost_line(res))
     return 0
 
 
-def _cmd_diamond(cfg: RunConfig) -> int:
-    first = _make_named_channel(cfg.channel, cfg.d, cfg.p, cfg.r)
+def _cmd_diamond(args: argparse.Namespace) -> int:
+    first = _make_named_channel(args.a, args.d, args.p, args.r)
     second = _make_named_channel(
-        cfg.channel_b,
-        cfg.d,
-        cfg.p_b if cfg.p_b is not None else cfg.p,
-        cfg.r_b if cfg.r_b is not None else cfg.r,
+        args.b,
+        args.d,
+        args.pb if args.pb is not None else args.p,
+        args.rb if args.rb is not None else args.r,
     )
-    value = diamond_norm_dist(first, second, **_solver_kw(cfg))
+    value = diamond_norm_dist(first, second, **_solver_kw(args))
     print(f"half_diamond_dist={_fmt(value)}")
     return 0
 
 
-def _cmd_maxinfo(cfg: RunConfig) -> int:
-    channel = _make_named_channel(cfg.channel, cfg.d, cfg.p, cfg.r)
-    if cfg.eps is None or cfg.eps == 0.0:
-        value = max_information(channel, **_solver_kw(cfg))
+def _cmd_maxinfo(args: argparse.Namespace) -> int:
+    channel = _make_named_channel(args.family, args.d, args.p, args.r)
+    if not args.eps:
+        value = max_information(channel, **_solver_kw(args))
     else:
-        value = smooth_max_information(channel, cfg.eps, **_solver_kw(cfg))
+        value = smooth_max_information(channel, args.eps, **_solver_kw(args))
     print(f"i_max={_fmt(value)}")
     return 0
 
 
-def _cmd_classical_lp(cfg: RunConfig) -> int:
-    matrix = _parse_matrix(cfg.matrix)
-    eps = cfg.eps if cfg.eps is not None else 0.0
-    res = classical_cost_lp(matrix, eps, **_solver_kw(cfg))
+def _cmd_classical_lp(args: argparse.Namespace) -> int:
+    res = classical_cost_lp(_parse_matrix(args.matrix), args.eps, **_solver_kw(args))
     print(_cost_line(res))
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    family = cfg.channel.strip().lower().replace("-", "_")
-    param = cfg.r if family == "amplitude_damping" else cfg.p
+def _cmd_verify(args: argparse.Namespace) -> int:
+    family = args.family.strip().lower().replace("-", "_")
+    param = args.r if family == "amplitude_damping" else args.p
     if param is None:
         raise ValueError("verify requires the family's noise parameter (--p or --r)")
-    form = closed_form_cost(family, param, cfg.d)
-    channel = _make_named_channel(cfg.channel, cfg.d, cfg.p, cfg.r)
-    solved = zero_error_cost(channel, **_solver_kw(cfg))
-    check = verify_certificate(channel, certificate(family, param, cfg.d))
+    form = closed_form_cost(family, param, args.d)
+    channel = _make_named_channel(args.family, args.d, args.p, args.r)
+    solved = zero_error_cost(channel, **_solver_kw(args))
+    check = verify_certificate(channel, certificate(family, param, args.d))
     diff = abs(form.value_bits - solved.half_log_trv)
     ok = diff <= 1e-6 and check.status == "optimal_confirmed"
     print(
@@ -345,34 +292,30 @@ def emit_figure2(
     return len(rows)
 
 
-def _cmd_depol_scan(cfg: RunConfig) -> int:
-    if cfg.p is None:
-        raise ValueError("depol-scan requires --p")
-    eps = cfg.eps if cfg.eps is not None else 0.0
-    rows = _depol_rows(cfg.d, cfg.p, (eps,), cfg.n_max)
-    _write_csv(cfg.out, _DEPOL_HEADER, rows)
-    print(f"wrote {cfg.out} ({len(rows)} rows)")
+def _cmd_depol_scan(args: argparse.Namespace) -> int:
+    rows = _depol_rows(args.d, args.p, (args.eps,), args.n_max)
+    _write_csv(args.out, _DEPOL_HEADER, rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_figure2(cfg: RunConfig) -> int:
-    p = cfg.p if cfg.p is not None else 0.15
-    count = emit_figure2(p, cfg.eps_list, cfg.n_max, cfg.out, d=cfg.d)
-    print(f"wrote {cfg.out} ({count} rows)")
+def _cmd_figure2(args: argparse.Namespace) -> int:
+    count = emit_figure2(args.p, args.eps_list, args.n_max, args.out, d=args.d)
+    print(f"wrote {args.out} ({count} rows)")
     return 0
 
 
-def _cmd_figure3(cfg: RunConfig) -> int:
-    params = [i / (cfg.grid - 1) for i in range(cfg.grid)]
-    families = _FIG3_FAMILIES if cfg.d == 2 else ("depolarizing", "erasure")
-    solver_kw = _solver_kw(cfg)
+def _cmd_figure3(args: argparse.Namespace) -> int:
+    params = [i / (args.grid - 1) for i in range(args.grid)]
+    families = _FIG3_FAMILIES if args.d == 2 else ("depolarizing", "erasure")
+    solver_kw = _solver_kw(args)
     # Only the first solve writes the problem dump.
-    later_kw = dict(solver_kw, dump_path=None)
-    tasks = [(fam, param, cfg.d, later_kw) for fam in families for param in params]
+    later_kw = {k: v for k, v in solver_kw.items() if k != "dump_path"}
+    tasks = [(fam, param, args.d, later_kw) for fam in families for param in params]
     tasks[0] = (*tasks[0][:3], solver_kw)
-    rows = _run_tasks(_figure3_row, tasks, cfg.jobs)
-    _write_csv(cfg.out, ["family", "param", "cost_bits"], rows)
-    print(f"wrote {cfg.out} ({len(rows)} rows)")
+    rows = _run_tasks(_figure3_row, tasks, args.jobs)
+    _write_csv(args.out, ["family", "param", "cost_bits"], rows)
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
@@ -390,13 +333,15 @@ _HANDLERS = {
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gap-tol", type=float, default=1e-8)
-    sub.add_argument("--feas-tol", type=float, default=1e-8)
-    sub.add_argument("--max-iter", type=int, default=200)
+    # A flag that is not given is not passed on: conic.solve's default holds.
+    sub.add_argument("--gap-tol", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--feas-tol", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
     sub.add_argument(
         "--dump-problem",
+        dest="dump_path",
         metavar="PATH",
-        default=None,
+        default=argparse.SUPPRESS,
         help="write the (first) conic problem as JSON before solving",
     )
 
@@ -502,8 +447,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        _validate(args)
+        return _HANDLERS[args.subcommand](args)
     except SolverFailure as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return 3

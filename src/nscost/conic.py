@@ -437,8 +437,13 @@ def solve(
     duality gap is at most gap_tol and both feasibility residuals are at most
     feas_tol. Hitting the iteration cap reports 'max_iter'; primal or dual
     infeasibility certificates report 'infeasible'/'unbounded'. Numerical
-    breakdown raises SolverFailure.
+    breakdown raises SolverFailure, and invalid options raise ValueError.
     """
+    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     std = _Standardized(problem)
     if std.m == 0:
         # Nothing constrains the cone variable: unbounded below unless C = 0,

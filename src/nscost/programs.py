@@ -25,6 +25,11 @@ leaves (tr_B J~ = 1_A, tr V = m^2, the no-signalling code space), and each
 matrix inequality is one LMI. No program adds a slack variable or an
 equality row. The values reported are the objective at the solver's
 parameters, in the complex Hermitian domain.
+
+Every program entry point takes ``**solve_kw``: ``dump_path``, a file to
+which the built conic problem is written as JSON before it is solved, and
+the keyword options of :func:`nscost.conic.solve`, passed on unchanged, so
+that its defaults hold for any option not given.
 """
 
 from __future__ import annotations
@@ -134,20 +139,13 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
     )
 
 
-def _run(
-    program: HermitianProgram,
-    *,
-    gap_tol: float,
-    feas_tol: float,
-    max_iter: int,
-    dump_path: str | None,
-) -> float:
+def _run(program: HermitianProgram, dump_path: str | None = None, **solve_kw) -> float:
     """Build, optionally dump, and solve a program; demand an optimal status
     and return the objective at the solution's parameters."""
     problem = program.build()
     if dump_path is not None:
         dump_problem(problem, dump_path)
-    sol = solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    sol = solve(problem, **solve_kw)
     if sol.status != "optimal":
         raise SolverFailure(
             f"conic solve finished with status '{sol.status}'", status=sol.status
@@ -203,15 +201,7 @@ def _add_diamond_ball(hp: HermitianProgram, delta, da: int, db: int, radius) -> 
     hp.add_lmi(y)
 
 
-def diamond_norm_dist(
-    n1: QuantumChannel,
-    n2: QuantumChannel,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> float:
+def diamond_norm_dist(n1: QuantumChannel, n2: QuantumChannel, **solve_kw) -> float:
     """Half the diamond-norm distance between two channels.
 
     Solves min gamma subject to tr_B Y <= gamma 1_A, Y >= J_N1 - J_N2 and
@@ -230,20 +220,14 @@ def diamond_norm_dist(
     gamma = hp.variable([1.0])
     _add_diamond_ball(hp, n1.choi - n2.choi, n1.dim_in, n1.dim_out, gamma)
     hp.minimize(gamma)
-    return _run(
-        hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
+    return _run(hp, **solve_kw)
 
 
 def min_error_simulation(
     n: QuantumChannel,
     m: QuantumChannel,
     code: str = "NS",
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
+    **solve_kw,
 ) -> float:
     """Minimum simulation error from resource channel n to target channel m.
 
@@ -289,20 +273,14 @@ def min_error_simulation(
     if code == "NS_PPT":
         hp.add_lmi(j_pi.map(partial_transpose, dims, [1, 3]))
     hp.minimize(gamma)
-    return _run(
-        hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
+    return _run(hp, **solve_kw)
 
 
 def min_error_noiseless(
     m: int,
     n: QuantumChannel,
     code: str = "NS",
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
+    **solve_kw,
 ) -> float:
     """Minimum error when simulating n with a noiseless channel of size m.
 
@@ -346,9 +324,7 @@ def min_error_noiseless(
             hp.add_lmi(one_vt + jt_tb)
     _add_diamond_ball(hp, jt - n.choi, da, db, gamma)
     hp.minimize(gamma)
-    return _run(
-        hp, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
+    return _run(hp, **solve_kw)
 
 
 def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
@@ -360,12 +336,12 @@ def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
     return hp, v
 
 
-def _zero_error_trv(n: QuantumChannel, **kw) -> float:
+def _zero_error_trv(n: QuantumChannel, **solve_kw) -> float:
     """Optimal value of min { tr V : J_N <= 1_A (x) V }."""
-    return _run(_zero_error_program(n)[0], **kw)
+    return _run(_zero_error_program(n)[0], **solve_kw)
 
 
-def _eps_simulation_trv(n: QuantumChannel, eps: float, **kw) -> float:
+def _eps_simulation_trv(n: QuantumChannel, eps: float, **solve_kw) -> float:
     """Optimal tr V for simulating n within diamond-norm error eps.
 
     The program optimizes jointly over the simulating channel J~ and the
@@ -385,24 +361,16 @@ def _eps_simulation_trv(n: QuantumChannel, eps: float, **kw) -> float:
     hp.add_lmi(jt)
     hp.add_lmi(v.map(lift, [1], [da, db]) - jt)
     hp.minimize(v.map(np.trace))
-    return _run(hp, **kw)
+    return _run(hp, **solve_kw)
 
 
-def _trv_at_eps(n: QuantumChannel, eps: float, **kw) -> float:
+def _trv_at_eps(n: QuantumChannel, eps: float, **solve_kw) -> float:
     if eps == 0.0:
-        return _zero_error_trv(n, **kw)
-    return _eps_simulation_trv(n, eps, **kw)
+        return _zero_error_trv(n, **solve_kw)
+    return _eps_simulation_trv(n, eps, **solve_kw)
 
 
-def one_shot_cost_ns(
-    n: QuantumChannel,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> CostResult:
+def one_shot_cost_ns(n: QuantumChannel, eps: float, **solve_kw) -> CostResult:
     """One-shot eps-error simulation cost of a channel under NS codes.
 
     The cost in qubits is log2 of the smallest noiseless-channel dimension
@@ -411,26 +379,11 @@ def one_shot_cost_ns(
     is reported alongside, so the integer correction delta is exact.
     """
     eps = _check_eps(eps)
-    trv = _trv_at_eps(
-        n,
-        eps,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-        dump_path=dump_path,
-    )
+    trv = _trv_at_eps(n, eps, **solve_kw)
     return cost_result_from_trv(trv)
 
 
-def one_shot_cost_ns_ppt(
-    n: QuantumChannel,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> CostResult:
+def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResult:
     """One-shot eps-error simulation cost under NS codes with PPT states.
 
     The PPT-constrained cost has no single-program form because the
@@ -443,15 +396,8 @@ def one_shot_cost_ns_ppt(
     eps = _check_eps(eps)
     chosen = n.dim_in
     for m in range(1, n.dim_in + 1):
-        err = min_error_noiseless(
-            m,
-            n,
-            "NS_PPT",
-            gap_tol=gap_tol,
-            feas_tol=feas_tol,
-            max_iter=max_iter,
-            dump_path=dump_path if m == 1 else None,
-        )
+        err = min_error_noiseless(m, n, "NS_PPT", **solve_kw)
+        solve_kw.pop("dump_path", None)  # only the first program is dumped
         if err <= eps + 1e-7:
             chosen = m
             break
@@ -465,14 +411,7 @@ def one_shot_cost_ns_ppt(
     )
 
 
-def zero_error_cost(
-    n: QuantumChannel,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> CostResult:
+def zero_error_cost(n: QuantumChannel, **solve_kw) -> CostResult:
     """Zero-error NS-assisted simulation cost of a channel.
 
     At eps = 0 the simulating channel must equal the target exactly, which
@@ -480,36 +419,17 @@ def zero_error_cost(
     log of this optimum is also the asymptotic zero-error cost per use,
     since the underlying conditional min-entropy is additive.
     """
-    trv = _zero_error_trv(
-        n, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
+    trv = _zero_error_trv(n, **solve_kw)
     return cost_result_from_trv(trv)
 
 
-def max_information(
-    n: QuantumChannel,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> float:
+def max_information(n: QuantumChannel, **solve_kw) -> float:
     """Max-information of a channel in bits: log2 min { tr V : J <= 1 (x) V }."""
-    trv = _zero_error_trv(
-        n, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, dump_path=dump_path
-    )
+    trv = _zero_error_trv(n, **solve_kw)
     return math.log2(trv)
 
 
-def smooth_max_information(
-    n: QuantumChannel,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> float:
+def smooth_max_information(n: QuantumChannel, eps: float, **solve_kw) -> float:
     """Smooth max-information: the max-information minimized over the
     diamond-norm eps-ball of channels around n.
 
@@ -517,40 +437,18 @@ def smooth_max_information(
     cost_bits = log2 ceil(sqrt(2^value)) holds exactly on every instance.
     """
     eps = _check_eps(eps)
-    trv = _trv_at_eps(
-        n,
-        eps,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-        dump_path=dump_path,
-    )
+    trv = _trv_at_eps(n, eps, **solve_kw)
     return math.log2(trv)
 
 
-def robustness(
-    n: QuantumChannel,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
-) -> float:
+def robustness(n: QuantumChannel, eps: float, **solve_kw) -> float:
     """Generalized robustness of a channel at smoothing level eps.
 
     Equals 2^I_max^eps - 1: the least mixing weight of another channel that
     makes the mixture a constant channel, minimized over the eps-ball.
     """
     eps = _check_eps(eps)
-    trv = _trv_at_eps(
-        n,
-        eps,
-        gap_tol=gap_tol,
-        feas_tol=feas_tol,
-        max_iter=max_iter,
-        dump_path=dump_path,
-    )
+    trv = _trv_at_eps(n, eps, **solve_kw)
     return trv - 1.0
 
 

@@ -174,14 +174,11 @@ def max_entangled_state(d: int) -> np.ndarray:
     return j / d
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of n x n Hermitian matrices, n^2 elements."""
+def _off_diagonal_basis(n: int) -> list[np.ndarray]:
+    """The n(n-1) off-diagonal elements of the orthonormal Hermitian basis:
+    for each k < l, (|k><l| + |l><k|) / sqrt(2), then i(|l><k| - |k><l|) / sqrt(2)."""
     basis: list[np.ndarray] = []
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[k, k] = 1.0
-        basis.append(e)
     for k in range(n):
         for l in range(k + 1, n):
             e = np.zeros((n, n), dtype=np.complex128)
@@ -193,6 +190,16 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
             e[l, k] = 1j * inv_sqrt2
             basis.append(e)
     return basis
+
+
+def hermitian_basis(n: int) -> list[np.ndarray]:
+    """Orthonormal (Frobenius) basis of n x n Hermitian matrices, n^2 elements."""
+    basis: list[np.ndarray] = []
+    for k in range(n):
+        e = np.zeros((n, n), dtype=np.complex128)
+        e[k, k] = 1.0
+        basis.append(e)
+    return basis + _off_diagonal_basis(n)
 
 
 def traceless_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -205,18 +212,7 @@ def traceless_hermitian_basis(n: int) -> list[np.ndarray]:
             e[i, i] = scale
         e[k, k] = -k * scale
         basis.append(e)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[k, l] = inv_sqrt2
-            e[l, k] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[k, l] = -1j * inv_sqrt2
-            e[l, k] = 1j * inv_sqrt2
-            basis.append(e)
-    return basis
+    return basis + _off_diagonal_basis(n)
 
 
 @dataclass(frozen=True)

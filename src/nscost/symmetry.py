@@ -17,6 +17,7 @@ double precision even though d^n s stays moderate.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -146,13 +147,7 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
 
 
 def classical_cost_lp(
-    channel: np.ndarray,
-    eps: float,
-    *,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-    dump_path: str | None = None,
+    channel: np.ndarray, eps: float, *, dump_path: str | None = None, **solve_kw
 ) -> CostResult:
     """Simulation cost of a classical channel N(y|x) under NS correlations.
 
@@ -183,6 +178,7 @@ def classical_cost_lp(
     n_in, n_out = mat.shape
 
     if eps == 0.0:
+        inspect.signature(solve).bind_partial(**solve_kw)  # unknown names raise
         return cost_result_from_trv(float(np.sum(np.max(mat, axis=0))))
 
     hp = HermitianProgram()
@@ -197,7 +193,7 @@ def classical_cost_lp(
     problem = hp.build()
     if dump_path is not None:
         dump_problem(problem, dump_path)
-    sol = solve(problem, gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter)
+    sol = solve(problem, **solve_kw)
     if sol.status != "optimal":
         raise SolverFailure(
             f"classical cost LP finished with status '{sol.status}'",

@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 
+import nscost.programs
+import nscost.symmetry
 from nscost.analytic import ClosedForm
 from nscost.cli import emit_figure2, run
 from nscost.conic import Block, problem_from_json, solve
@@ -130,6 +133,12 @@ def test_usage_errors(capsys):
     assert run(["figure2", "--out", "/tmp/x.csv", "--n-max", "0"]) == 2
     assert run(["figure2", "--out", "/tmp/x.csv", "--jobs", "0"]) == 2
     assert run(["figure3", "--out", "/tmp/x.csv", "--grid", "1"]) == 2
+    # Invalid solver options are usage errors, found before any iteration.
+    zero = ["zero-error", "--family", "depolarizing", "--p", "0.1"]
+    assert run([*zero, "--gap-tol", "-1"]) == 2
+    assert run([*zero, "--gap-tol", "nan"]) == 2
+    assert run([*zero, "--feas-tol", "0"]) == 2
+    assert run([*zero, "--max-iter", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -138,6 +147,33 @@ def test_solver_failure_exit_code(capsys):
                 "--max-iter", "1"])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def recorder(solve_):
+        def recording_solve(problem, **kw):
+            calls.append(kw)
+            return solve_(problem, **kw)
+
+        return recording_solve
+
+    monkeypatch.setattr(nscost.programs, "solve", recorder(nscost.programs.solve))
+    monkeypatch.setattr(nscost.symmetry, "solve", recorder(nscost.symmetry.solve))
+    for argv in (
+        ["cost", "--family", "depolarizing", "--p", "0.15"],
+        ["classical-lp", "--matrix", "0.9,0.1;0.2,0.8", "--eps", "0.05"],
+        ["figure3", "--grid", "2", "--jobs", "1", "--out", str(tmp_path / "f3.csv")],
+    ):
+        calls.clear()
+        assert run(argv) == 0
+        assert calls and all(kw == {} for kw in calls), argv
+    calls.clear()
+    assert run(["cost", "--family", "depolarizing", "--p", "0.15",
+                "--gap-tol", "1e-9"]) == 0
+    assert calls == [{"gap_tol": 1e-9}]
+    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):
@@ -335,12 +371,16 @@ def test_dump_problem_of_complex_channel(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # The child runs the package under test, wherever pytest imported it from.
+    src = os.path.dirname(os.path.dirname(nscost.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nscost.cli", "cost", "--family", "dephasing",
          "--p", "0.5", "--eps", "0"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     out = _kv(proc.stdout.strip())

@@ -218,6 +218,20 @@ class TestSolveBasics:
         assert sol.status == "max_iter"
         assert sol.iterations == 2
 
+    def test_invalid_options_raise(self):
+        problem = maxinfo_dual(make_channel("depolarizing", d=2, p=0.3).choi)[0].build()
+        for kw in (
+            {"gap_tol": -1.0},
+            {"gap_tol": math.nan},
+            {"feas_tol": 0.0},
+            {"feas_tol": math.inf},
+            {"max_iter": -1},
+            {"max_iter": 2.5},
+        ):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                solve(problem, **kw)
+        assert solve(problem, max_iter=0).iterations == 0
+
     def test_validation_rejects_asymmetric_coeff(self):
         # A complex symmetric matrix is not Hermitian either.
         for coeff in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1j], [1j, 0.0]]):

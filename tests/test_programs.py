@@ -1,11 +1,13 @@
 """Tests for the channel-simulation cost programs."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import nscost.programs
+import nscost.symmetry
 from nscost.conic import SolverFailure, problem_from_json, solve
 from nscost.programs import (
     CertificatePair,
@@ -30,6 +32,7 @@ from nscost.qmat import (
     subsystem_permute,
     tensor_channels,
 )
+from nscost.symmetry import classical_cost_lp
 
 from oracles import random_channel
 
@@ -604,6 +607,59 @@ def test_complex_rotation_agrees_with_real_form(channel, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Solver options
+
+_CLASSICAL = np.array([[0.9, 0.1], [0.2, 0.8]])
+# Every public entry point that runs a conic program, by name.
+_ENTRY_POINTS = {
+    "diamond_norm_dist": lambda **kw: diamond_norm_dist(depol(0.3), depol(0.1), **kw),
+    "min_error_simulation": lambda **kw: min_error_simulation(
+        depol(0.1), depol(0.3), **kw
+    ),
+    "min_error_noiseless": lambda **kw: min_error_noiseless(2, depol(0.3), **kw),
+    "one_shot_cost_ns": lambda **kw: one_shot_cost_ns(depol(0.3), 0.05, **kw),
+    "one_shot_cost_ns_ppt": lambda **kw: one_shot_cost_ns_ppt(depol(0.3), 0.05, **kw),
+    "zero_error_cost": lambda **kw: zero_error_cost(depol(0.3), **kw),
+    "max_information": lambda **kw: max_information(depol(0.3), **kw),
+    "smooth_max_information": lambda **kw: smooth_max_information(
+        depol(0.3), 0.05, **kw
+    ),
+    "robustness": lambda **kw: robustness(depol(0.3), 0.05, **kw),
+    "classical_cost_lp": lambda **kw: classical_cost_lp(_CLASSICAL, 0.05, **kw),
+}
+
+
+def test_unknown_solver_options_raise_type_error():
+    for call in _ENTRY_POINTS.values():
+        with pytest.raises(TypeError, match="bogus_tol"):
+            call(bogus_tol=1e-9)
+    # At eps = 0 the classical cost is a closed form that runs no solve.
+    with pytest.raises(TypeError, match="bogus_tol"):
+        classical_cost_lp(_CLASSICAL, 0.0, bogus_tol=1e-9)
+
+
+def test_solver_options_reach_solve_unchanged(tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(solve_):
+        def recording_solve(problem, **kw):
+            calls.append(kw)
+            return solve_(problem, **kw)
+
+        return recording_solve
+
+    monkeypatch.setattr(nscost.programs, "solve", recorder(nscost.programs.solve))
+    monkeypatch.setattr(nscost.symmetry, "solve", recorder(nscost.symmetry.solve))
+    options = {"gap_tol": 1e-9, "feas_tol": 1e-9, "max_iter": 150}
+    for name, call in _ENTRY_POINTS.items():
+        calls.clear()
+        dump = tmp_path / f"{name}.json"
+        call(dump_path=str(dump), **options)
+        assert calls and all(kw == options for kw in calls), name
+        assert problem_from_json(json.loads(dump.read_text())).constraints, name
+
+
+# ---------------------------------------------------------------------------
 # Failure reporting and problem dumps
 
 
@@ -614,8 +670,6 @@ def test_iteration_cap_raises_with_status():
 
 
 def test_dump_problem_roundtrip(tmp_path):
-    import json
-
     path = tmp_path / "problem.json"
     one_shot_cost_ns(depol(0.3), 0.0, dump_path=str(path))
     problem = problem_from_json(json.loads(path.read_text()))
