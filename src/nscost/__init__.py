@@ -23,6 +23,8 @@ from nscost.conic import (
     problem_to_json,
     solution_to_json,
     solve,
+    solve_many,
+    solver_options,
 )
 from nscost.programs import (
     CertificateCheck,
@@ -40,6 +42,7 @@ from nscost.programs import (
     smooth_max_information,
     verify_certificate,
     zero_error_cost,
+    zero_error_costs,
 )
 from nscost.qmat import (
     QuantumChannel,

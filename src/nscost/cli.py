@@ -40,6 +40,7 @@ from .programs import (
     smooth_max_information,
     verify_certificate,
     zero_error_cost,
+    zero_error_costs,
 )
 from .qmat import QuantumChannel, make_channel
 from .symmetry import (
@@ -245,18 +246,19 @@ def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
     return rows
 
 
-def _figure3_row(task) -> tuple:
-    family, param, d, solver_kw = task
-    channel = _make_named_channel(family, d, param, param)
-    res = zero_error_cost(channel, **solver_kw)
-    return (family, _fmt(param), _fmt(res.half_log_trv))
+def _figure3_rows(task) -> list[tuple]:
+    """The rows of one family: its grid of channels, solved as one batch."""
+    family, params, d, solver_kw = task
+    channels = [_make_named_channel(family, d, param, param) for param in params]
+    costs = zero_error_costs(channels, **solver_kw)
+    return [(family, _fmt(p), _fmt(c.half_log_trv)) for p, c in zip(params, costs)]
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=8))
+        return list(pool.map(worker, tasks))
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
@@ -309,11 +311,14 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     params = [i / (args.grid - 1) for i in range(args.grid)]
     families = _FIG3_FAMILIES if args.d == 2 else ("depolarizing", "erasure")
     solver_kw = _solver_kw(args)
-    # Only the first solve writes the problem dump.
+    # One task per family, so the batches are the same at any --jobs. Only
+    # the first family dumps its (first) problem.
     later_kw = {k: v for k, v in solver_kw.items() if k != "dump_path"}
-    tasks = [(fam, param, args.d, later_kw) for fam in families for param in params]
-    tasks[0] = (*tasks[0][:3], solver_kw)
-    rows = _run_tasks(_figure3_row, tasks, args.jobs)
+    tasks = [
+        (fam, params, args.d, later_kw if i else solver_kw)
+        for i, fam in enumerate(families)
+    ]
+    rows = [row for rows in _run_tasks(_figure3_rows, tasks, args.jobs) for row in rows]
     _write_csv(args.out, ["family", "param", "cost_bits"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

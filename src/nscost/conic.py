@@ -22,14 +22,29 @@ run the same arithmetic as a real-only solver. The builder
 over real parameters, passes their Lagrange duals to this form, and gives
 them real blocks whenever the data allow it.
 
+Batches. :func:`solve_many` solves a list of problems. It groups those
+whose blocks, block dtypes, sense and constraint coefficients are equal
+(objectives and rhs may differ) and runs each group in lockstep: every
+iterate carries a leading batch axis, one row per instance, so each
+iteration does its block algebra once for the whole group. Each instance
+keeps its own mu, sigma, step lengths, certificate tests, status and
+iterate trace, and leaves the batch when it terminates. The m x m Schur
+factorizations and solves (LAPACK potrf/potrs, or a sparse LU on the
+pure-LP path) run one instance at a time, and the products with the
+constraint data are formed per instance, so an instance's arithmetic does
+not depend on the batch around it: solve_many gives bitwise the results of
+:func:`solve`, which is solve_many on a batch of one.
+
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +65,8 @@ __all__ = [
     "problem_to_json",
     "solution_to_json",
     "solve",
+    "solve_many",
+    "solver_options",
 ]
 
 _STEP_TO_BOUNDARY = 0.98
@@ -204,55 +221,124 @@ class ConicSolution:
 
 
 # ---------------------------------------------------------------------------
+# Options and batches
+
+
+def solver_options(
+    gap_tol: float = 1e-8, feas_tol: float = 1e-8, max_iter: int = 200
+) -> dict:
+    """The interior-point options, checked, with their defaults filled in.
+
+    This signature is the one place that names the options and their
+    defaults. An unknown name raises TypeError. The tolerances must be finite
+    and positive and max_iter an integer >= 0, or ValueError is raised.
+    """
+    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    return {"gap_tol": gap_tol, "feas_tol": feas_tol, "max_iter": max_iter}
+
+
+def solve(problem: ConicProblem, **options) -> ConicSolution:
+    """Solve one ConicProblem: ``solve_many([problem], **options)[0]``."""
+    return solve_many([problem], **options)[0]
+
+
+def solve_many(problems, **options) -> list:
+    """Solve a sequence of ConicProblems; see the module docstring.
+
+    Returns one ConicSolution per problem, in input order, equal to
+    ``[solve(p) for p in problems]``. A status is 'optimal' only when the
+    relative duality gap is at most gap_tol and both feasibility residuals
+    are at most feas_tol. Hitting the iteration cap reports 'max_iter';
+    primal or dual infeasibility certificates report 'infeasible' or
+    'unbounded'. Numerical breakdown of any problem raises SolverFailure.
+    The options are those of :func:`solver_options`.
+    """
+    options = solver_options(**options)
+    problems = list(problems)
+    out = [None] * len(problems)
+    for group in _groups(problems):
+        sols = _solve_group([problems[i] for i in group], **options)
+        for i, sol in zip(group, sols):
+            out[i] = sol
+    return out
+
+
+def _groups(problems: list) -> list:
+    """The indices of the problems that run in lockstep, one list per group.
+
+    A group shares blocks, sense, objective dtypes, constraint senses and
+    constraint coefficients, the latter compared byte for byte.
+    """
+    if len(problems) == 1:
+        return [[0]]
+    groups: dict = {}
+    for i, p in enumerate(problems):
+        key = (
+            p.blocks,
+            p.maximize,
+            tuple(np.iscomplexobj(e) for e in p.objective),
+            tuple(
+                (c.sense, *(None if e is None else e.tobytes() for e in c.coeffs))
+                for c in p.constraints
+            ),
+        )
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+# ---------------------------------------------------------------------------
 # Standardized internal form
 
 
 class _Standardized:
-    """Equality-form data: slack block appended, maximize folded into signs."""
+    """Equality-form data of one group: slack block appended, maximize folded
+    into signs. The constraint data are shared; objectives and rhs have a
+    leading batch axis, one row per problem."""
 
-    def __init__(self, problem: ConicProblem):
-        self.sign = -1.0 if problem.maximize else 1.0
-        self.blocks = list(problem.blocks)
-        m = len(problem.constraints)
-        le_rows = [i for i, c in enumerate(problem.constraints) if c.sense == "le"]
+    def __init__(self, problems: list):
+        first = problems[0]
+        self.sign = -1.0 if first.maximize else 1.0
+        self.blocks = list(first.blocks)
+        m = len(first.constraints)
+        le_rows = [i for i, c in enumerate(first.constraints) if c.sense == "le"]
         self.n_user_blocks = len(self.blocks)
         self.slack_index = None
         if le_rows:
             self.slack_index = len(self.blocks)
             self.blocks.append(Block("lp", len(le_rows)))
         self.m = m
-        self.b = np.array([c.rhs for c in problem.constraints], dtype=float)
-
-        self.objective = []
-        for block, entry in zip(problem.blocks, problem.objective):
-            if entry is None:
-                if block.kind == "sdp":
-                    entry = np.zeros((block.size, block.size))
-                else:
-                    entry = np.zeros(block.size)
-            self.objective.append(self.sign * entry)
-        if self.slack_index is not None:
-            self.objective.append(np.zeros(len(le_rows)))
+        self.b = np.array(
+            [[c.rhs for c in p.constraints] for p in problems], dtype=float
+        ).reshape(len(problems), m)
 
         # Constraint stacks: dense (m, n, n) per SDP block, in the block's
-        # dtype, with their float64 views (m, n*n or 2*n*n); sparse CSR per LP.
+        # dtype, with their float64 views (m, n*n or 2*n*n); sparse CSR per LP,
+        # and of its transpose.
         self.sdp_stack: dict[int, np.ndarray] = {}
         self.sdp_flat: dict[int, np.ndarray] = {}
         self.lp_mat: dict[int, scipy.sparse.csr_matrix] = {}
+        self.lp_mat_t: dict[int, scipy.sparse.csr_matrix] = {}
+        self.objective = []
+        row_sq = np.zeros(m)  # squared norm of each user constraint row
         for bi, block in enumerate(self.blocks):
+            user = bi < self.n_user_blocks
+            entries = [p.objective[bi] for p in problems] if user else []
             if block.kind == "sdp":
-                entries = [con.coeffs[bi] for con in problem.constraints]
-                complex_data = any(
-                    np.iscomplexobj(e) for e in [self.objective[bi], *entries]
-                )
-                stack = np.zeros(
-                    (m, block.size, block.size), dtype=complex if complex_data else float
-                )
-                for i, entry in enumerate(entries):
+                coeffs = [con.coeffs[bi] for con in first.constraints]
+                complex_data = any(np.iscomplexobj(e) for e in [*entries, *coeffs])
+                dtype = complex if complex_data else float
+                stack = np.zeros((m, block.size, block.size), dtype=dtype)
+                for i, entry in enumerate(coeffs):
                     if entry is not None:
                         stack[i] = entry
                 self.sdp_stack[bi] = stack
                 self.sdp_flat[bi] = stack.reshape(m, block.size**2).view(float)
+                row_sq += np.einsum("ij,ij->i", self.sdp_flat[bi], self.sdp_flat[bi])
+                objective = np.zeros((len(problems), block.size, block.size), dtype=dtype)
             else:
                 rows, cols, vals = [], [], []
                 if bi == self.slack_index:
@@ -261,83 +347,117 @@ class _Standardized:
                         cols.append(j)
                         vals.append(1.0)
                 else:
-                    for i, con in enumerate(problem.constraints):
+                    for i, con in enumerate(first.constraints):
                         entry = con.coeffs[bi]
                         if entry is not None:
                             nz = np.nonzero(entry)[0]
                             rows.extend([i] * len(nz))
                             cols.extend(nz.tolist())
                             vals.extend(entry[nz].tolist())
+                    row_sq += np.bincount(
+                        np.asarray(rows, dtype=int), np.square(vals), minlength=m
+                    )
                 self.lp_mat[bi] = scipy.sparse.csr_matrix(
                     (vals, (rows, cols)), shape=(m, block.size)
                 )
+                self.lp_mat_t[bi] = self.lp_mat[bi].T.tocsr()
+                objective = np.zeros((len(problems), block.size))
+            for k, entry in enumerate(entries):
+                if entry is not None:
+                    objective[k] = entry
+            objective *= self.sign
+            self.objective.append(objective)
         self.pure_lp = not self.sdp_stack
         if self.pure_lp:
             self.lp_all = scipy.sparse.hstack(
                 [self.lp_mat[bi] for bi in range(len(self.blocks))], format="csr"
             )
             self.lp_all_csc = self.lp_all.tocsc()
-        self.norm_b = float(np.linalg.norm(self.b)) if m else 0.0
-        self.norm_c = math.sqrt(sum(_sqnorm(c) for c in self.objective))
+        self.norm_a = math.sqrt(row_sq.max()) if m else 1.0
+        self.norm_b = np.sqrt(_dots(self.b, self.b))
+        self.norm_c = np.sqrt(_total(_dots(c, c) for c in self.objective))
 
-    # -- block-space linear maps ------------------------------------------
+    # -- block-space linear maps, per instance ---------------------------
 
     def apply_A(self, x: list) -> np.ndarray:
-        out = np.zeros(self.m)
-        for bi, block in enumerate(self.blocks):
-            if block.kind == "sdp":
-                out += self.sdp_flat[bi] @ _flat(x[bi])
-            else:
-                out += self.lp_mat[bi] @ x[bi]
-        return out
+        return _total(
+            _times(_flat(x[bi]), self.sdp_flat[bi].T)
+            if block.kind == "sdp"
+            else (self.lp_mat[bi] @ x[bi].T).T
+            for bi, block in enumerate(self.blocks)
+        )
 
     def apply_At(self, y: np.ndarray) -> list:
         out = []
         for bi, block in enumerate(self.blocks):
             if block.kind == "sdp":
                 stack = self.sdp_stack[bi]
-                flat = y @ self.sdp_flat[bi]
-                out.append(flat.view(stack.dtype).reshape(stack.shape[1:]))
+                flat = _times(y, self.sdp_flat[bi])
+                out.append(flat.view(stack.dtype).reshape(len(y), *stack.shape[1:]))
             else:
-                out.append(self.lp_mat[bi].T @ y)
+                out.append((self.lp_mat_t[bi] @ y.T).T)
         return out
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    """Float64 view of a flattened matrix: Re tr(A B) = _flat(A) @ _flat(B)
-    for Hermitian A and B."""
-    return a.reshape(-1).view(float)
+    """Float64 view of each instance's flattened block: Re tr(A B) =
+    _flat(A)[k] @ _flat(B)[k] for Hermitian A and B."""
+    return a.reshape(len(a), -1).view(float)
 
 
-def _inner(block: Block, a, b) -> float:
-    if block.kind == "sdp":
-        return float(np.sum(a * b.conj()).real)
-    return float(a @ b)
+def _total(arrays) -> np.ndarray:
+    """The sum of a nonempty sequence of arrays."""
+    return functools.reduce(operator.add, arrays)
 
 
-def _sqnorm(a) -> float:
-    return float(np.sum(np.abs(a) ** 2))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_k, b_k> for each instance k of two block arrays."""
+    return (_flat(a)[:, None, :] @ _flat(b)[:, :, None])[:, 0, 0]
+
+
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows[k] @ mat for each instance k, as one product per instance: an
+    instance's arithmetic does not depend on the batch it runs in."""
+    return (rows[:, None, :] @ mat)[:, 0]
+
+
+def _bc(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A per-instance vector v, shaped to scale the instances of a."""
+    return v.reshape(-1, *(1,) * (a.ndim - 1))
+
+
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each instance."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    return (a + _h(a)) / 2.0
 
 
 def _dense_cholesky_with_jitter(mat: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor (LAPACK potrf) of mat plus the smallest jitter
     on the ladder that makes it positive definite."""
+    c, info = _POTRF(mat, lower=1, clean=0)
+    if info == 0:
+        return c
     scale = max(1.0, float(np.trace(mat)) / mat.shape[0])
-    jitter = 0.0
-    for attempt in range(9):
+    for attempt in range(8):
+        jitter = scale * 1e-14 * 10.0**attempt
         c, info = _POTRF(mat + jitter * np.eye(mat.shape[0]), lower=1, clean=0)
         if info == 0:
             return c
-        jitter = scale * 1e-14 * 10.0**attempt
     raise SolverFailure("Schur complement factorization failed")
 
 
+def _dense_solver(mat: np.ndarray):
+    """rhs -> mat^-1 rhs through the jittered Cholesky factor (LAPACK potrs)."""
+    factor = _dense_cholesky_with_jitter(mat)
+    return lambda rhs: _POTRS(factor, rhs, lower=1)[0]
+
+
 class _NTScaling:
-    """Per-block Nesterov-Todd scaling data for one iterate.
+    """Per-block Nesterov-Todd scaling data for one iterate of each instance.
 
     On an SDP block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
     G[bi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
@@ -353,224 +473,217 @@ class _NTScaling:
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
                 try:
-                    lx = np.linalg.cholesky(x[bi])
-                    ls = np.linalg.cholesky(s[bi])
+                    factors = np.linalg.cholesky(np.concatenate((x[bi], s[bi])))
                 except np.linalg.LinAlgError as exc:
                     raise SolverFailure(
                         "iterate left the PSD cone (Cholesky breakdown)"
                     ) from exc
-                u, sig, vt = np.linalg.svd(ls.conj().T @ lx)
-                if sig[-1] <= 0.0:
+                lx, ls = factors.reshape(2, -1, block.size, block.size)
+                u, sig, vt = np.linalg.svd(_h(ls) @ lx)
+                if sig[:, -1].min() <= 0.0:
                     raise SolverFailure("NT scaling breakdown: singular iterate")
                 inv_sqrt = 1.0 / np.sqrt(sig)
-                r = lx @ (vt.conj().T * inv_sqrt)
-                rinv = (inv_sqrt[:, None] * u.conj().T) @ ls.conj().T
+                r = lx @ (_h(vt) * inv_sqrt[:, None, :])
+                rinv = (inv_sqrt[:, :, None] * _h(u)) @ _h(ls)
                 self.R[bi] = r
                 self.Rinv[bi] = rinv
-                self.W[bi] = r @ r.conj().T
+                self.W[bi] = r @ _h(r)
                 self.lam[bi] = sig
-                self.G[bi] = np.stack([rinv, r.conj().T]) * inv_sqrt[:, None]
+                g = np.concatenate((rinv[:, None], _h(r)[:, None]), axis=1)
+                self.G[bi] = g * inv_sqrt[:, None, :, None]
             else:
-                if np.any(x[bi] <= 0.0) or np.any(s[bi] <= 0.0):
+                if x[bi].min() <= 0.0 or s[bi].min() <= 0.0:
                     raise SolverFailure("iterate left the nonnegative cone")
                 self.w2[bi] = x[bi] / s[bi]
                 self.lam[bi] = np.sqrt(x[bi] * s[bi])
 
 
 class _SchurSolver:
-    """Factorization of M = A W A^T for one iterate, shared by both solves.
+    """Factorizations of M = A W A^T for one iterate, one per instance,
+    shared by both Newton solves.
 
-    A pure LP factorizes the sparse A diag(w2) A^T with a sparse LU; any SDP
-    block, or a failed LU, gives a dense M and its jittered Cholesky factor.
+    A pure LP factorizes each instance's sparse A diag(w2) A^T with a sparse
+    LU. Any SDP block gives a dense M, assembled for all instances as one
+    stack; those, and any M whose LU fails, take a jittered Cholesky factor.
     """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
         if std.pure_lp:
             a = std.lp_all_csc
-            d = np.concatenate([nt.w2[bi] for bi in range(len(std.blocks))])
-            mat = (a.multiply(d) @ a.T).tocsc()
-            try:
-                self._solve_once = scipy.sparse.linalg.splu(mat).solve
-                self._mat = mat
-                return
-            except (RuntimeError, scipy.linalg.LinAlgError):
-                mat = mat.toarray()
-        else:
-            mat = np.zeros((std.m, std.m))
-            for bi, block in enumerate(std.blocks):
-                if block.kind == "sdp":
-                    w = nt.W[bi]
-                    waw = np.matmul(w[None, :, :], np.matmul(std.sdp_stack[bi], w))
-                    mat += std.sdp_flat[bi] @ waw.reshape(std.m, -1).view(float).T
-                else:
-                    a = std.lp_mat[bi]
-                    if a.nnz:
-                        mat += (a.multiply(nt.w2[bi]) @ a.T).toarray()
-        self._mat = (mat + mat.T) / 2.0
-        factor = _dense_cholesky_with_jitter(self._mat)
-        self._solve_once = lambda rhs: _POTRS(factor, rhs, lower=1)[0]
+            d = np.concatenate([nt.w2[bi] for bi in range(len(std.blocks))], axis=1)
+            self._systems = [_sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in d]
+            return
+        mat = None
+        for bi, block in enumerate(std.blocks):
+            if block.kind == "sdp":
+                w = nt.W[bi][:, None]
+                waw = np.matmul(w, np.matmul(std.sdp_stack[bi], w))
+                flat = waw.reshape(len(waw), std.m, -1).view(float)
+                term = np.matmul(std.sdp_flat[bi], flat.swapaxes(1, 2))
+            elif std.lp_mat[bi].nnz:
+                a = std.lp_mat[bi]
+                term = np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[bi]])
+            else:
+                continue
+            mat = term if mat is None else mat + term
+        mat = (mat + mat.swapaxes(1, 2)) / 2.0
+        self._systems = [(mk, _dense_solver(mk)) for mk in mat]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = self._solve_once(rhs)
-        # One step of iterative refinement stabilizes the late iterations.
-        residual = rhs - self._mat @ y
-        y = y + self._solve_once(residual)
-        if not np.all(np.isfinite(y)):
+        y = np.empty_like(rhs)
+        for k, (mat, solve_once) in enumerate(self._systems):
+            yk = solve_once(rhs[k])
+            # One step of iterative refinement stabilizes the late iterations.
+            y[k] = yk + solve_once(rhs[k] - mat @ yk)
+        if not np.isfinite(y).all():
             raise SolverFailure("Schur solve produced non-finite values")
         return y
 
 
-def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> float:
-    neg = delta < 0.0
-    return float(np.min(-x[neg] / delta[neg])) if np.any(neg) else _BIG_STEP
+def _sparse_system(mat):
+    """A sparse M and its solve: sparse LU, or jittered Cholesky of the
+    dense M when the LU fails."""
+    try:
+        return mat, scipy.sparse.linalg.splu(mat).solve
+    except (RuntimeError, scipy.linalg.LinAlgError):
+        mat = mat.toarray()
+        mat = (mat + mat.T) / 2.0
+        return mat, _dense_solver(mat)
 
 
-def solve(
-    problem: ConicProblem,
-    gap_tol: float = 1e-8,
-    feas_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> ConicSolution:
-    """Solve a ConicProblem; see the module docstring for the algorithm.
+def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per instance, the largest step that keeps x + a delta >= 0, or
+    _BIG_STEP, as a column."""
+    ratio = np.full_like(x, _BIG_STEP)
+    np.divide(-x, delta, out=ratio, where=delta < 0.0)
+    return ratio.min(axis=1, keepdims=True)
 
-    Returns a ConicSolution whose status is 'optimal' only when the relative
-    duality gap is at most gap_tol and both feasibility residuals are at most
-    feas_tol. Hitting the iteration cap reports 'max_iter'; primal or dual
-    infeasibility certificates report 'infeasible'/'unbounded'. Numerical
-    breakdown raises SolverFailure, and invalid options raise ValueError.
-    """
-    for name, tol in (("gap_tol", gap_tol), ("feas_tol", feas_tol)):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
-        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    std = _Standardized(problem)
+
+def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
+    """Solve the problems of one group in lockstep; see :func:`solve_many`."""
+    std = _Standardized(problems)
+    sign = std.sign
     if std.m == 0:
         # Nothing constrains the cone variable: unbounded below unless C = 0,
         # and even then nothing useful to report. Declared, not solved.
-        sign = std.sign
-        return ConicSolution(
-            status="unbounded",
-            primal_value=-math.inf if sign > 0 else math.inf,
-            dual_value=-math.inf if sign > 0 else math.inf,
-            gap=math.nan,
-            primal_blocks=(),
-            dual_multipliers=np.zeros(0),
-            iterations=0,
-            primal_residual=math.nan,
-            dual_residual=math.nan,
-        )
+        value = -math.inf if sign > 0 else math.inf
+        return [
+            ConicSolution("unbounded", value, value, math.nan, (), np.zeros(0), 0,
+                          math.nan, math.nan)
+            for _ in problems
+        ]
 
+    blocks = range(len(std.blocks))
     nu = sum(b.size for b in std.blocks)
-    norm_a = max(
-        (
-            math.sqrt(sum(_sqnorm(c) for c in con.coeffs if c is not None))
-            for con in problem.constraints
-        ),
-        default=1.0,
-    )
-    rho_p = max(1.0, std.norm_b / max(1.0, norm_a))
-    rho_d = max(1.0, std.norm_c / math.sqrt(nu), std.norm_b / max(1.0, norm_a))
-    x = []
-    s = []
+    rho_p = np.maximum(1.0, std.norm_b / max(1.0, std.norm_a))
+    rho_d = np.maximum(rho_p, std.norm_c / math.sqrt(nu))
+    x, s = [], []
     for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
-            dtype = std.sdp_stack[bi].dtype
-            x.append(rho_p * np.eye(block.size, dtype=dtype))
-            s.append(rho_d * np.eye(block.size, dtype=dtype))
+            unit = np.eye(block.size, dtype=std.sdp_stack[bi].dtype)
         else:
-            x.append(rho_p * np.ones(block.size))
-            s.append(rho_d * np.ones(block.size))
-    y = np.zeros(std.m)
-
-    trace: list[IterateRecord] = []
-    status = "max_iter"
-    iterations = max_iter
-    pres = dres = math.inf
-    pobj = dobj = math.nan
+            unit = np.ones(block.size)
+        x.append(_bc(rho_p, unit[None]) * unit)
+        s.append(_bc(rho_d, unit[None]) * unit)
+    y = np.zeros((len(problems), std.m))
+    # Per-instance data of the instances still running; `active` holds
+    # their indices in `problems`.
+    b, c = std.b, std.objective
+    scale_b, scale_c = 1.0 + std.norm_b, 1.0 + std.norm_c
+    active = np.arange(len(problems))
+    traces = [[] for _ in problems]
+    out = [None] * len(problems)
 
     for it in range(max_iter + 1):
         ax = std.apply_A(x)
-        rp = std.b - ax
+        rp = b - ax
         aty = std.apply_At(y)
-        rd = [std.objective[bi] - aty[bi] - s[bi] for bi in range(len(std.blocks))]
-        pobj = sum(
-            _inner(block, std.objective[bi], x[bi])
-            for bi, block in enumerate(std.blocks)
-        )
-        dobj = float(std.b @ y)
-        mu = sum(
-            _inner(block, x[bi], s[bi]) for bi, block in enumerate(std.blocks)
-        ) / nu
-        pres = float(np.linalg.norm(rp)) / (1.0 + std.norm_b)
-        dres = math.sqrt(sum(_sqnorm(r) for r in rd)) / (1.0 + std.norm_c)
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        trace.append(IterateRecord(it, std.sign * pobj, std.sign * dobj, mu, pres, dres))
-
-        if gap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
-            status = "optimal"
-            iterations = it
+        rd = [c[bi] - aty[bi] - s[bi] for bi in blocks]
+        pobj = _total(_dots(c[bi], x[bi]) for bi in blocks)
+        dobj = _dots(b, y)
+        mu = _total(_dots(x[bi], s[bi]) for bi in blocks) / nu
+        pres = np.sqrt(_dots(rp, rp)) / scale_b
+        dres = np.sqrt(_total(_dots(r, r) for r in rd)) / scale_c
+        certificates = _certificates(x, s, y, ax, aty, pobj, dobj) if it >= 3 else None
+        # Per instance: record the iterate, then stop on optimality, on a
+        # certificate or at the iteration cap.
+        finished = []
+        rows = zip(active.tolist(), pobj.tolist(), dobj.tolist(), mu.tolist(),
+                   pres.tolist(), dres.tolist())
+        for pos, (k, pv, dv, mv, pr, dr) in enumerate(rows):
+            traces[k].append(IterateRecord(it, sign * pv, sign * dv, mv, pr, dr))
+            gap = abs(pv - dv) / (1.0 + abs(pv))
+            if gap <= gap_tol and pr <= feas_tol and dr <= feas_tol:
+                status = "optimal"
+            elif certificates and certificates[pos]:
+                status = certificates[pos]
+            elif it == max_iter:
+                status = "max_iter"
+            else:
+                continue
+            out[k] = _solution(std, status, [xb[pos] for xb in x], y[pos], pv, dv,
+                               pr, dr, it, traces[k])
+            finished.append(pos)
+        if len(finished) == len(active):
             break
-
-        if it >= 3:
-            certificate = _detect_certificates(std, x, s, y, feas_tol)
-            if certificate is not None:
-                status = certificate
-                iterations = it
-                break
-
-        if it == max_iter:
-            iterations = max_iter
-            break
+        if finished:
+            # Finished instances leave the batch.
+            keep = np.ones(len(active), dtype=bool)
+            keep[finished] = False
+            x, s, rd, c = ([a[keep] for a in arrays] for arrays in (x, s, rd, c))
+            y, b, rp, mu, scale_b, scale_c, active = (
+                a[keep] for a in (y, b, rp, mu, scale_b, scale_c, active)
+            )
 
         nt = _NTScaling(std, x, s)
         schur = _SchurSolver(std, nt)
 
         # Predictor: target complementarity 0.
-        rc_aff = [-xb for xb in x]
-        dy_aff, dx_aff, ds_aff = _newton_step(std, nt, schur, rp, rd, rc_aff)
-
-        ap, ad = _max_steps(std, nt, x, s, dx_aff, ds_aff)
-        mu_aff = sum(
-            _inner(
-                block,
-                x[bi] + min(1.0, ap) * dx_aff[bi],
-                s[bi] + min(1.0, ad) * ds_aff[bi],
+        dy_aff, dx_aff, ds_aff = _newton_step(std, nt, schur, rp, rd, [-xb for xb in x])
+        ap, ad = np.minimum(_max_steps(std, nt, x, s, dx_aff, ds_aff), 1.0).T
+        mu_aff = _total(
+            _dots(
+                x[bi] + _bc(ap, x[bi]) * dx_aff[bi],
+                s[bi] + _bc(ad, s[bi]) * ds_aff[bi],
             )
-            for bi, block in enumerate(std.blocks)
+            for bi in blocks
         ) / nu
-        mu_aff = max(mu_aff, 0.0)
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
+        # sigma * mu, with sigma = (mu_aff / mu)^3 clipped to [0, 1].
+        target = np.array([
+            min(1.0, max(0.0, (max(ma, 0.0) / mv) ** 3)) * mv if mv > 0 else 0.0
+            for ma, mv in zip(mu_aff.tolist(), mu.tolist())
+        ])
 
         # Corrector: target sigma*mu minus the affine cross term.
         rc_cor = []
         for bi, block in enumerate(std.blocks):
             if block.kind == "sdp":
-                lam = nt.lam[bi]
-                dxh = nt.Rinv[bi] @ dx_aff[bi] @ nt.Rinv[bi].conj().T
-                dsh = nt.R[bi].conj().T @ ds_aff[bi] @ nt.R[bi]
-                cross = _sym(dxh @ dsh)
-                d = -cross
-                d[np.diag_indices_from(d)] += sigma * mu - lam**2
-                z = 2.0 * d / np.add.outer(lam, lam)
-                rc_cor.append(_sym(nt.R[bi] @ z @ nt.R[bi].conj().T))
+                lam, r, rinv = nt.lam[bi], nt.R[bi], nt.Rinv[bi]
+                dxh = rinv @ dx_aff[bi] @ _h(rinv)
+                dsh = _h(r) @ ds_aff[bi] @ r
+                d = -_sym(dxh @ dsh)
+                d.reshape(len(d), -1)[:, :: block.size + 1] += target[:, None] - lam**2
+                z = 2.0 * d / (lam[:, :, None] + lam[:, None, :])
+                rc_cor.append(_sym(r @ z @ _h(r)))
             else:
-                d = sigma * mu - x[bi] * s[bi] - dx_aff[bi] * ds_aff[bi]
+                d = target[:, None] - x[bi] * s[bi] - dx_aff[bi] * ds_aff[bi]
                 rc_cor.append(d / s[bi])
         dy, dx, ds = _newton_step(std, nt, schur, rp, rd, rc_cor)
 
-        ap, ad = _max_steps(std, nt, x, s, dx, ds)
-        ap, ad = min(1.0, _STEP_TO_BOUNDARY * ap), min(1.0, _STEP_TO_BOUNDARY * ad)
+        steps = _STEP_TO_BOUNDARY * _max_steps(std, nt, x, s, dx, ds)
+        ap, ad = np.minimum(steps, 1.0).T
         for bi, block in enumerate(std.blocks):
+            x[bi] = x[bi] + _bc(ap, x[bi]) * dx[bi]
+            s[bi] = s[bi] + _bc(ad, s[bi]) * ds[bi]
             if block.kind == "sdp":
-                x[bi] = _sym(x[bi] + ap * dx[bi])
-                s[bi] = _sym(s[bi] + ad * ds[bi])
-            else:
-                x[bi] = x[bi] + ap * dx[bi]
-                s[bi] = s[bi] + ad * ds[bi]
-        y = y + ad * dy
+                x[bi], s[bi] = _sym(x[bi]), _sym(s[bi])
+        y = y + ad[:, None] * dy
+    return out
 
-    user_blocks = tuple(x[bi] for bi in range(std.n_user_blocks))
+
+def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolution:
+    """One instance's ConicSolution from its final iterate; the values and
+    residuals are floats."""
     sign = std.sign
     primal_value = sign * pobj
     dual_value = sign * dobj
@@ -580,17 +693,14 @@ def solve(
     elif status == "unbounded":
         primal_value = -math.inf if sign > 0 else math.inf
         dual_value = primal_value
-    gap_out = (
-        abs(pobj - dobj) / (1.0 + abs(pobj)) if math.isfinite(pobj) else math.nan
-    )
     return ConicSolution(
         status=status,
         primal_value=primal_value,
         dual_value=dual_value,
-        gap=gap_out,
-        primal_blocks=user_blocks,
+        gap=abs(pobj - dobj) / (1.0 + abs(pobj)) if math.isfinite(pobj) else math.nan,
+        primal_blocks=tuple(xb.copy() for xb in x[: std.n_user_blocks]),
         dual_multipliers=sign * y,
-        iterations=iterations,
+        iterations=it,
         primal_residual=pres,
         dual_residual=dres,
         trace=tuple(trace),
@@ -598,15 +708,16 @@ def solve(
 
 
 def _newton_step(std, nt, schur, rp, rd, rc):
-    """Solve the scaled Newton system for given residual targets."""
-    rhs = rp.copy()
+    """Solve the scaled Newton system of each instance for given residual
+    targets."""
+    rhs = rp
     for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
             t = nt.W[bi] @ rd[bi] @ nt.W[bi] - rc[bi]
-            rhs += std.sdp_flat[bi] @ _flat(t)
+            rhs = rhs + _times(_flat(t), std.sdp_flat[bi].T)
         else:
             t = nt.w2[bi] * rd[bi] - rc[bi]
-            rhs += std.lp_mat[bi] @ t
+            rhs = rhs + (std.lp_mat[bi] @ t.T).T
     dy = schur.solve(rhs)
     at_dy = std.apply_At(dy)
     dx, ds = [], []
@@ -621,49 +732,47 @@ def _newton_step(std, nt, schur, rp, rd, rc):
     return dy, dx, ds
 
 
-def _max_steps(std, nt, x, s, dx, ds) -> tuple[float, float]:
-    """Largest primal and dual steps that stay in the cone, or _BIG_STEP.
+def _max_steps(std, nt, x, s, dx, ds) -> np.ndarray:
+    """The largest primal and dual steps that stay in the cone, or
+    _BIG_STEP, as one row (primal, dual) per instance.
 
     With G X G^H = I, X + a dX is PSD exactly for a <= -1/lambda_min(G dX G^H);
     one eigvalsh per SDP block serves the primal and the dual side.
     """
-    ap = ad = _BIG_STEP
+    out = None
     for bi, block in enumerate(std.blocks):
         if block.kind == "sdp":
             g = nt.G[bi]
-            t = g @ np.stack([dx[bi], ds[bi]]) @ g.conj().transpose(0, 2, 1)
-            t = (t + t.conj().transpose(0, 2, 1)) / 2.0
-            lo_p, lo_d = np.linalg.eigvalsh(t)[:, 0].tolist()
-            if lo_p < -1e-14:
-                ap = min(ap, -1.0 / lo_p)
-            if lo_d < -1e-14:
-                ad = min(ad, -1.0 / lo_d)
+            t = g @ np.concatenate((dx[bi][:, None], ds[bi][:, None]), axis=1) @ _h(g)
+            lo = np.linalg.eigvalsh((t + _h(t)) / 2.0)[..., 0]
+            steps = -1.0 / np.minimum(lo, -1e-14)
+            steps[lo >= -1e-14] = _BIG_STEP
         else:
-            ap = min(ap, _max_step_lp(x[bi], dx[bi]))
-            ad = min(ad, _max_step_lp(s[bi], ds[bi]))
-    return ap, ad
+            steps = np.concatenate(
+                (_max_step_lp(x[bi], dx[bi]), _max_step_lp(s[bi], ds[bi])), axis=1
+            )
+        out = steps if out is None else np.minimum(out, steps)
+    return out
 
 
-def _detect_certificates(std, x, s, y, feas_tol) -> str | None:
-    """Farkas-style infeasibility and unboundedness certificates."""
-    bty = float(std.b @ y)
-    scale_y = 1.0 + float(np.linalg.norm(y))
-    if bty > 1e-8 * scale_y:
-        aty = std.apply_At(y)
-        res = math.sqrt(
-            sum(_sqnorm(aty[bi] + s[bi]) for bi in range(len(std.blocks)))
-        )
-        if res <= 1e-7 * bty:
-            return "infeasible"
-    ctx = sum(
-        _inner(block, std.objective[bi], x[bi]) for bi, block in enumerate(std.blocks)
-    )
-    scale_x = 1.0 + math.sqrt(sum(_sqnorm(xb) for xb in x))
-    if ctx < -1e-8 * scale_x:
-        res = float(np.linalg.norm(std.apply_A(x)))
-        if res <= 1e-7 * (-ctx):
-            return "unbounded"
-    return None
+def _certificates(x, s, y, ax, aty, pobj, dobj) -> list:
+    """Per instance, 'infeasible' or 'unbounded' when the iterate is a
+    Farkas-style certificate of either, else None; ax = A x, aty = A^T y,
+    pobj = <C, X> and dobj = b . y."""
+    # Each test first checks a necessary condition that needs no norm.
+    infeasible = dobj > 1e-8
+    if infeasible.any():
+        infeasible &= dobj > 1e-8 * (1.0 + np.sqrt(_dots(y, y)))
+        res = [a + sb for a, sb in zip(aty, s)]
+        infeasible &= np.sqrt(_total(_dots(r, r) for r in res)) <= 1e-7 * dobj
+    unbounded = pobj < -1e-8
+    if unbounded.any():
+        unbounded &= pobj < -1e-8 * (1.0 + np.sqrt(_total(_dots(xb, xb) for xb in x)))
+        unbounded &= np.sqrt(_dots(ax, ax)) <= 1e-7 * -pobj
+    return [
+        "infeasible" if inf else "unbounded" if unb else None
+        for inf, unb in zip(infeasible.tolist(), unbounded.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

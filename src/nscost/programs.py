@@ -3,7 +3,8 @@
 This module turns operational questions about quantum channels (how well can
 one channel simulate another with no-signalling correlations, and how large a
 noiseless channel is needed to simulate a noisy one) into explicit
-semidefinite programs over Choi matrices, solved with :func:`nscost.conic.solve`.
+semidefinite programs over Choi matrices, solved with :func:`nscost.conic.solve`
+(:func:`nscost.conic.solve_many` for a batch of them).
 
 Conventions. A channel N from A to B is its unnormalized Choi matrix
 
@@ -27,20 +28,28 @@ equality row. The values reported are the objective at the solver's
 parameters, in the complex Hermitian domain.
 
 Every program entry point takes ``**solve_kw``: ``dump_path``, a file to
-which the built conic problem is written as JSON before it is solved, and
-the keyword options of :func:`nscost.conic.solve`, passed on unchanged, so
-that its defaults hold for any option not given.
+which the (first) built conic problem is written as JSON before it is
+solved, and the options of :func:`nscost.conic.solver_options`, passed on
+unchanged, so that their defaults hold for any option not given.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import Affine, HermitianProgram, SolverFailure, dump_problem, solve
+from .conic import (
+    Affine,
+    HermitianProgram,
+    SolverFailure,
+    dump_problem,
+    solve,
+    solve_many,
+)
 from .qmat import (
     QuantumChannel,
     hermitian_basis,
@@ -139,18 +148,32 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
     )
 
 
-def _run(program: HermitianProgram, dump_path: str | None = None, **solve_kw) -> float:
-    """Build, optionally dump, and solve a program; demand an optimal status
-    and return the objective at the solution's parameters."""
-    problem = program.build()
-    if dump_path is not None:
-        dump_problem(problem, dump_path)
-    sol = solve(problem, **solve_kw)
-    if sol.status != "optimal":
-        raise SolverFailure(
-            f"conic solve finished with status '{sol.status}'", status=sol.status
-        )
-    return program.value(sol)
+def _run_all(programs: list, dump_path: str | None = None, **solve_kw) -> list:
+    """Build the programs, optionally dump the first, and solve them in one
+    batch; demand optimal statuses and return the objective of each at its
+    solution's parameters.
+
+    A single problem goes through `solve`, the per-problem entry point that
+    perfbench's tracer wraps; more go through one `solve_many` call.
+    """
+    problems = [program.build() for program in programs]
+    if dump_path is not None and problems:
+        dump_problem(problems[0], dump_path)
+    if len(problems) == 1:
+        sols = [solve(problems[0], **solve_kw)]
+    else:
+        sols = solve_many(problems, **solve_kw)
+    for sol in sols:
+        if sol.status != "optimal":
+            raise SolverFailure(
+                f"conic solve finished with status '{sol.status}'", status=sol.status
+            )
+    return [program.value(sol) for program, sol in zip(programs, sols)]
+
+
+def _run(program: HermitianProgram, **solve_kw) -> float:
+    """The objective of one program at its solution; see :func:`_run_all`."""
+    return _run_all([program], **solve_kw)[0]
 
 
 def _normalize_code(code: str) -> str:
@@ -327,18 +350,46 @@ def min_error_noiseless(
     return _run(hp, **solve_kw)
 
 
+@functools.lru_cache(maxsize=16)
+def _zero_error_basis(da: int, db: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hermitian_basis(db), the lifts 1_A (x) B_k and the traces tr B_k, as
+    read-only stacks.
+
+    They parametrize V in the zero-error program and depend only on the
+    dimensions, so every channel of one (d_in, d_out) shares them.
+    """
+    basis = np.array(hermitian_basis(db))
+    lifted = np.stack([lift(b, [1], [da, db]) for b in basis])
+    traces = np.trace(basis, axis1=1, axis2=2)
+    for a in (basis, lifted, traces):
+        a.setflags(write=False)
+    return basis, lifted, traces
+
+
 def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
     """min { tr V : J_N <= 1_A (x) V }, and its variable V."""
+    basis, lifted, traces = _zero_error_basis(n.dim_in, n.dim_out)
     hp = HermitianProgram()
-    v = hp.variable(hermitian_basis(n.dim_out))
-    hp.add_lmi(v.map(lift, [1], [n.dim_in, n.dim_out]) - n.choi)
-    hp.minimize(v.map(np.trace))
+    v = hp.variable(basis)
+    (start,) = v.terms
+    one_v = Affine(np.zeros(lifted.shape[1:], dtype=complex), {start: lifted})
+    hp.add_lmi(one_v - n.choi)  # 1_A (x) V - J_N
+    hp.minimize(Affine(0.0, {start: traces}))  # tr V
     return hp, v
+
+
+def _zero_error_trvs(channels: list, **solve_kw) -> list:
+    """Optimal values of min { tr V : J_N <= 1_A (x) V } for channels of one
+    shape, solved in one batch."""
+    dims = {(n.dim_in, n.dim_out) for n in channels}
+    if len(dims) > 1:
+        raise ValueError(f"channel dimensions differ: {sorted(dims)}")
+    return _run_all([_zero_error_program(n)[0] for n in channels], **solve_kw)
 
 
 def _zero_error_trv(n: QuantumChannel, **solve_kw) -> float:
     """Optimal value of min { tr V : J_N <= 1_A (x) V }."""
-    return _run(_zero_error_program(n)[0], **solve_kw)
+    return _zero_error_trvs([n], **solve_kw)[0]
 
 
 def _eps_simulation_trv(n: QuantumChannel, eps: float, **solve_kw) -> float:
@@ -411,6 +462,21 @@ def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResul
     )
 
 
+def zero_error_costs(channels, **solve_kw) -> list:
+    """Zero-error NS-assisted simulation costs of channels of one shape.
+
+    Builds one program per channel (see :func:`zero_error_cost`) and solves
+    them with one :func:`nscost.conic.solve_many` call; only the first
+    program is dumped. The costs come back in input order.
+
+    Raises:
+        ValueError: if the channels' dimensions differ.
+        SolverFailure: if any solve does not reach optimality.
+    """
+    trvs = _zero_error_trvs(list(channels), **solve_kw)
+    return [cost_result_from_trv(trv) for trv in trvs]
+
+
 def zero_error_cost(n: QuantumChannel, **solve_kw) -> CostResult:
     """Zero-error NS-assisted simulation cost of a channel.
 
@@ -419,8 +485,7 @@ def zero_error_cost(n: QuantumChannel, **solve_kw) -> CostResult:
     log of this optimum is also the asymptotic zero-error cost per use,
     since the underlying conditional min-entropy is additive.
     """
-    trv = _zero_error_trv(n, **solve_kw)
-    return cost_result_from_trv(trv)
+    return zero_error_costs([n], **solve_kw)[0]
 
 
 def max_information(n: QuantumChannel, **solve_kw) -> float:

@@ -17,14 +17,13 @@ double precision even though d^n s stays moderate.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .conic import HermitianProgram, SolverFailure, dump_problem, solve
+from .conic import HermitianProgram, SolverFailure, dump_problem, solve, solver_options
 from .programs import CostResult, _check_eps, cost_result_from_trv
 
 _NORMALIZATION_TOL = 1e-9
@@ -164,7 +163,8 @@ def classical_cost_lp(
     the optimum is sum_y max_x N(y|x) directly.
 
     Raises:
-        ValueError: if the matrix is not row-stochastic or eps is out of range.
+        ValueError: if the matrix is not row-stochastic, eps is out of range
+            or a solver option is invalid, at eps = 0 too.
     """
     mat = np.asarray(channel, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
@@ -178,7 +178,7 @@ def classical_cost_lp(
     n_in, n_out = mat.shape
 
     if eps == 0.0:
-        inspect.signature(solve).bind_partial(**solve_kw)  # unknown names raise
+        solver_options(**solve_kw)  # no solve runs: check the options here
         return cost_result_from_trv(float(np.sum(np.max(mat, axis=0))))
 
     hp = HermitianProgram()

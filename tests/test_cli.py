@@ -139,6 +139,12 @@ def test_usage_errors(capsys):
     assert run([*zero, "--gap-tol", "nan"]) == 2
     assert run([*zero, "--feas-tol", "0"]) == 2
     assert run([*zero, "--max-iter", "-1"]) == 2
+    # The same at eps = 0, where the classical cost runs no solve.
+    classical = ["classical-lp", "--matrix", "0.9,0.1;0.2,0.8", "--eps", "0"]
+    assert run([*classical, "--gap-tol", "-1"]) == 2
+    assert run([*classical, "--gap-tol", "nan"]) == 2
+    assert run([*classical, "--feas-tol", "0"]) == 2
+    assert run([*classical, "--max-iter", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -151,6 +157,7 @@ def test_solver_failure_exit_code(capsys):
 
 def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
     calls = []
+    batches = []  # the number of problems of each solve_many call
 
     def recorder(solve_):
         def recording_solve(problem, **kw):
@@ -159,8 +166,19 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
 
         return recording_solve
 
+    def batch_recorder(solve_many_):
+        def recording_solve_many(problems, **kw):
+            calls.append(kw)
+            batches.append(len(problems))
+            return solve_many_(problems, **kw)
+
+        return recording_solve_many
+
     monkeypatch.setattr(nscost.programs, "solve", recorder(nscost.programs.solve))
     monkeypatch.setattr(nscost.symmetry, "solve", recorder(nscost.symmetry.solve))
+    monkeypatch.setattr(
+        nscost.programs, "solve_many", batch_recorder(nscost.programs.solve_many)
+    )
     for argv in (
         ["cost", "--family", "depolarizing", "--p", "0.15"],
         ["classical-lp", "--matrix", "0.9,0.1;0.2,0.8", "--eps", "0.05"],
@@ -173,6 +191,13 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
     assert run(["cost", "--family", "depolarizing", "--p", "0.15",
                 "--gap-tol", "1e-9"]) == 0
     assert calls == [{"gap_tol": 1e-9}]
+    # figure3 solves each family's grid in one batch: four families at
+    # d = 2, two at d = 3.
+    for d, families in ((2, 4), (3, 2)):
+        batches.clear()
+        assert run(["figure3", "--d", str(d), "--grid", "5", "--jobs", "1",
+                    "--out", str(tmp_path / "f3.csv")]) == 0
+        assert batches == [5] * families
     capsys.readouterr()
 
 

@@ -18,6 +18,7 @@ from nscost.conic import (
     problem_to_json,
     solution_to_json,
     solve,
+    solve_many,
 )
 from nscost.qmat import hermitian_basis, lift, make_channel
 
@@ -482,9 +483,11 @@ class TestStepLengths:
             objective=(None, None),
             constraints=(Constraint((np.eye(n), None), 1.0),),
         )
-        std = conic._Standardized(problem)
+        # The solver's arrays carry a leading batch axis; this is a batch of one.
+        x, s, dx, ds = ([a[None] for a in arrays] for arrays in (x, s, dx, ds))
+        std = conic._Standardized([problem])
         nt = conic._NTScaling(std, x, s)
-        return conic._max_steps(std, nt, x, s, dx, ds)
+        return tuple(conic._max_steps(std, nt, x, s, dx, ds)[0].tolist())
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
@@ -553,6 +556,130 @@ class TestSchurFactorization:
     def test_indefinite_matrix_fails(self):
         with pytest.raises(SolverFailure, match="Schur complement factorization failed"):
             conic._dense_cholesky_with_jitter(np.diag([1.0, -1.0]))
+
+
+def rhs_variants(rng, problem, count, is_complex=False):
+    """Problems with the blocks and constraint coefficients of `problem` and
+    a new rhs and objective each, strictly feasible on both sides as in
+    random_problem: made from fresh interior points X0 and (y0, S0)."""
+
+    def interior(block):
+        n = block.size
+        if block.kind == "sdp":
+            g = rng.standard_normal((n, n))
+            if is_complex:
+                g = g + 1j * rng.standard_normal((n, n))
+            return g @ g.conj().T + 0.5 * np.eye(n)
+        return rng.uniform(0.5, 1.5, n)
+
+    out = []
+    for _ in range(count):
+        x0 = [interior(b) for b in problem.blocks]
+        s0 = [interior(b) for b in problem.blocks]
+        y0 = rng.standard_normal(len(problem.constraints))
+        constraints = []
+        for i, con in enumerate(problem.constraints):
+            rhs = sum(float(np.sum(c * x.conj()).real) for c, x in zip(con.coeffs, x0))
+            if con.sense == "le":
+                rhs += float(rng.uniform(0.1, 1.0))
+                y0[i] = -abs(y0[i]) - 0.1
+            constraints.append(Constraint(con.coeffs, rhs, con.sense))
+        objective = [
+            s0[bi] + sum(y0[i] * con.coeffs[bi] for i, con in enumerate(problem.constraints))
+            for bi in range(len(problem.blocks))
+        ]
+        out.append(ConicProblem(problem.blocks, tuple(objective), tuple(constraints)))
+    return out
+
+
+def assert_same_solution(got, want):
+    """A solve_many result against the problem's own solve."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in (
+        (got.primal_value, want.primal_value),
+        (got.dual_value, want.dual_value),
+        (got.primal_residual, want.primal_residual),
+        (got.dual_residual, want.dual_residual),
+    ):
+        assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestSolveMany:
+    """solve_many(problems) against [solve(p) for p in problems]."""
+
+    @staticmethod
+    def check(batch, **options):
+        sols = solve_many(batch, **options)
+        assert len(sols) == len(batch)
+        for problem, sol in zip(batch, sols):
+            assert_same_solution(sol, solve(problem, **options))
+        return sols
+
+    def test_instances_stop_at_different_iterations(self):
+        rng = np.random.default_rng(4242)
+        batch = rhs_variants(rng, random_problem(rng), 8)
+        assert conic._groups(batch) == [list(range(8))]  # one lockstep run
+        sols = self.check(batch)
+        assert all(sol.status == "optimal" for sol in sols)
+        assert len({sol.iterations for sol in sols}) > 1
+
+    def test_complex_blocks(self):
+        rng = np.random.default_rng(4343)
+        batch = rhs_variants(rng, random_problem(rng, complex=True), 6, is_complex=True)
+        assert conic._groups(batch) == [list(range(6))]
+        sols = self.check(batch)
+        assert all(sol.status == "optimal" for sol in sols)
+        assert all(np.iscomplexobj(x) for sol in sols for x, b in
+                   zip(sol.primal_blocks, batch[0].blocks) if b.kind == "sdp")
+
+    def test_certificates_next_to_optimal_instances(self):
+        # x2 = b over x >= 0, and X11 = b over X >= 0: b = -1 is infeasible,
+        # and an objective that rewards x1 (X22) is unbounded.
+        lp = [((1.0, 1.0), 1.0), ((1.0, 1.0), -1.0), ((-1.0, 0.0), 1.0), ((2.0, 1.0), 2.0)]
+        lp_batch = [
+            ConicProblem(
+                blocks=(Block("lp", 2),),
+                objective=(np.array(c),),
+                constraints=(Constraint((np.array([0.0, 1.0]),), b),),
+            )
+            for c, b in lp
+        ]
+        e11 = np.diag([1.0, 0.0])
+        sdp = [((1.0, 1.0), 1.0), ((1.0, 1.0), -1.0), ((0.0, -1.0), 1.0), ((2.0, 1.0), 2.0)]
+        sdp_batch = [
+            ConicProblem(
+                blocks=(Block("sdp", 2),),
+                objective=(np.diag(c),),
+                constraints=(Constraint((e11,), b),),
+            )
+            for c, b in sdp
+        ]
+        for batch in (lp_batch, sdp_batch):
+            assert conic._groups(batch) == [[0, 1, 2, 3]]
+            sols = self.check(batch)
+            assert [sol.status for sol in sols] == [
+                "optimal", "infeasible", "unbounded", "optimal"
+            ]
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(4444)
+        batch = rhs_variants(rng, random_problem(rng), 5)
+        sols = self.check(batch, max_iter=4)
+        assert all((sol.status, sol.iterations) == ("max_iter", 4) for sol in sols)
+
+    def test_mixed_structures_come_back_in_input_order(self):
+        rng = np.random.default_rng(4545)
+        first = rhs_variants(rng, random_problem(rng), 3)
+        second = rhs_variants(rng, random_problem(rng, complex=True), 2, is_complex=True)
+        lp = rhs_variants(rng, random_problem(rng, with_ineq=True), 2)
+        batch = [first[0], second[0], lp[0], first[1], second[1], first[2], lp[1]]
+        assert len(conic._groups(batch)) == 3
+        self.check(batch)
+
+    def test_empty_batch(self):
+        assert solve_many([]) == []
+        with pytest.raises(ValueError, match="gap_tol"):
+            solve_many([], gap_tol=-1.0)
 
 
 class TestJson:

@@ -23,6 +23,7 @@ from nscost.programs import (
     smooth_max_information,
     verify_certificate,
     zero_error_cost,
+    zero_error_costs,
 )
 from nscost.qmat import (
     QuantumChannel,
@@ -257,6 +258,36 @@ def test_erasure_zero_error_value():
     for d, p in ((2, 0.3), (3, 0.5)):
         res = zero_error_cost(make_channel("erasure", d=d, p=p))
         assert abs(res.tr_v_opt - (d * d * (1.0 - p) + p)) <= 1e-6
+
+
+_FIGURE3_FAMILIES = {
+    "depolarizing": lambda p: make_channel("depolarizing", d=2, p=p),
+    "amplitude_damping": lambda r: make_channel("amplitude_damping", r=r),
+    "dephasing": lambda p: make_channel("dephasing", p=p),
+    "erasure": lambda p: make_channel("erasure", d=2, p=p),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FIGURE3_FAMILIES))
+def test_zero_error_costs_match_single_solves(family):
+    channels = [_FIGURE3_FAMILIES[family](i / 20) for i in range(21)]
+    if family == "erasure":
+        # The 2 -> 3 family: a random complex channel of the same shape
+        # joins the list, and solves in a group of its own.
+        channels.insert(7, random_channel(np.random.default_rng(21), 2, 3, 2))
+        assert not np.allclose(channels[7].choi.imag, 0.0)
+    batch = zero_error_costs(channels)
+    assert len(batch) == len(channels)
+    for channel, got in zip(channels, batch):
+        want = zero_error_cost(channel)
+        assert abs(got.half_log_trv - want.half_log_trv) <= 1e-12
+        assert got.m_star == want.m_star
+
+
+def test_zero_error_costs_need_one_shape():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        zero_error_costs([depol(0.1), make_channel("erasure", d=2, p=0.1)])
+    assert zero_error_costs([]) == []
 
 
 def test_max_information_reference_points():
@@ -620,6 +651,7 @@ _ENTRY_POINTS = {
     "one_shot_cost_ns": lambda **kw: one_shot_cost_ns(depol(0.3), 0.05, **kw),
     "one_shot_cost_ns_ppt": lambda **kw: one_shot_cost_ns_ppt(depol(0.3), 0.05, **kw),
     "zero_error_cost": lambda **kw: zero_error_cost(depol(0.3), **kw),
+    "zero_error_costs": lambda **kw: zero_error_costs([depol(0.3), depol(0.1)], **kw),
     "max_information": lambda **kw: max_information(depol(0.3), **kw),
     "smooth_max_information": lambda **kw: smooth_max_information(
         depol(0.3), 0.05, **kw
@@ -648,8 +680,18 @@ def test_solver_options_reach_solve_unchanged(tmp_path, monkeypatch):
 
         return recording_solve
 
+    def batch_recorder(solve_many_):
+        def recording_solve_many(problems, **kw):
+            calls.append(kw)
+            return solve_many_(problems, **kw)
+
+        return recording_solve_many
+
     monkeypatch.setattr(nscost.programs, "solve", recorder(nscost.programs.solve))
     monkeypatch.setattr(nscost.symmetry, "solve", recorder(nscost.symmetry.solve))
+    monkeypatch.setattr(
+        nscost.programs, "solve_many", batch_recorder(nscost.programs.solve_many)
+    )
     options = {"gap_tol": 1e-9, "feas_tol": 1e-9, "max_iter": 150}
     for name, call in _ENTRY_POINTS.items():
         calls.clear()
