@@ -22,8 +22,13 @@ run the same arithmetic as a real-only solver. The builder
 over real parameters, passes their Lagrange duals to this form, and gives
 them real blocks whenever the data allow it.
 
+Standardized form. :class:`ConicProblem` checks each block's constraint
+coefficients once, into one read-only (m, n, n) or (m, n) stack in the
+block's dtype. The solver runs on these stacks as they are (LP ones as CSR),
+with a slack block appended for the inequality rows.
+
 Batches. :func:`solve_many` solves a list of problems. It groups those
-whose blocks, block dtypes, sense and constraint coefficients are equal
+whose blocks, senses and coefficient stacks (dtype and bytes) are equal
 (objectives and rhs may differ) and runs each group in lockstep: every
 iterate carries a leading batch axis, one row per instance, so each
 iteration does its block algebra once for the whole group. Each instance
@@ -120,78 +125,98 @@ class ConicProblem:
     `objective` and each constraint's `coeffs` are sequences parallel to
     `blocks`; entries are (n, n) Hermitian arrays for SDP blocks (real or
     complex), length-n real vectors for LP blocks, or None for absent blocks.
+
+    Each block's constraint coefficients are stored as one read-only stack,
+    zero where an entry is None, and the rows' `coeffs` are views of it; see
+    :func:`_validated`. The objective keeps its entries.
     """
 
     blocks: tuple
     objective: tuple
     constraints: tuple
     maximize: bool = False
+    # Derived data the solver runs on: per block, the stack of constraint
+    # coefficients; and the rhs and the "le" senses of the rows.
+    _stacks: tuple = field(init=False, repr=False, compare=False)
+    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    _le: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        rows = _validated_rows(
-            [list(self.objective), *(list(con.coeffs) for con in self.constraints)],
-            blocks,
+        constraints = tuple(self.constraints)  # read once: it may be an iterator
+        objective, stacks = _validated(
+            blocks, list(self.objective), [list(con.coeffs) for con in constraints]
         )
-        cons = [
-            Constraint(c, float(con.rhs), con.sense)
-            for c, con in zip(rows[1:], self.constraints)
-        ]
-        object.__setattr__(self, "objective", rows[0])
-        object.__setattr__(self, "constraints", tuple(cons))
+        cons = tuple(
+            Constraint(
+                tuple(None if e is None else s[i] for e, s in zip(con.coeffs, stacks)),
+                float(con.rhs),
+                con.sense,
+            )
+            for i, con in enumerate(constraints)
+        )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "_stacks", stacks)
+        object.__setattr__(self, "_rhs", np.array([c.rhs for c in cons], dtype=float))
+        object.__setattr__(self, "_le", np.array([c.sense == "le" for c in cons], dtype=bool))
 
 
-def _validated_rows(rows: list, blocks: tuple) -> list:
-    """Each row's entries as read-only arrays, SDP entries made Hermitian.
+def _validated(blocks: tuple, objective: list, constraints: list) -> tuple:
+    """The objective's entries and, per block, the stack of the constraints'
+    entries, checked, read-only and made Hermitian on SDP blocks.
 
-    Row 0 is the objective, row i + 1 constraint i, which needs a coefficient.
-    The entries of a block are checked and stored as one stack per dtype.
-    Invalid data raise the error of the first bad entry, in row order.
+    A stack is zero where an entry is None. It is (m, n, n) on an SDP
+    block, complex when any entry for the block (objective included) is
+    complex and real otherwise, and real (m, n) on an LP block. Entries are
+    made Hermitian in their own dtype, as one stack per dtype, and the
+    objective's entries keep it. A constraint needs a coefficient. Invalid
+    data raise the error of the first bad entry, in row order: the
+    objective first, then the constraints.
     """
-    names = ["objective", *(f"constraint {i}" for i in range(len(rows) - 1))]
-    errors = []  # (row, block, or -1 for the row itself, message)
-    out = []
+    rows = [objective, *constraints]
+    errors = []  # (row, block, or -1 for the row itself, message after its name)
     for r, row in enumerate(rows):
         if len(row) != len(blocks):
-            got = f"expected {len(blocks)} block entries, got {len(row)}"
-            errors.append((r, -1, f"{names[r]}: {got}"))
-            row = [None] * len(blocks)
+            errors.append((r, -1, f": expected {len(blocks)} block entries, got {len(row)}"))
+            rows[r] = [None] * len(blocks)
         elif r > 0 and all(e is None for e in row):
-            errors.append((r, len(blocks), f"{names[r]} has no coefficients"))
-        out.append(row)
+            errors.append((r, len(blocks), " has no coefficients"))
+    entries, stacks = [], []
     for bi, block in enumerate(blocks):
-        stacks: dict = {}  # dtype -> [(row, entry)]
-        for r, row in enumerate(out):
-            entry = row[bi]
-            if entry is None:
+        sdp = block.kind == "sdp"
+        shape = (block.size,) * (2 if sdp else 1)
+        given: dict = {}  # complex or not -> ([row], [entry])
+        for r, row in enumerate(rows):
+            if row[bi] is None:
                 continue
-            if block.kind == "sdp":
-                a = np.asarray(entry, dtype=complex if np.iscomplexobj(entry) else float)
-                shape, what = (block.size, block.size), "SDP entry shape"
-            else:
-                a = np.asarray(entry, dtype=float).reshape(-1)
-                shape, what = (block.size,), "LP entry length"
+            a = np.asarray(row[bi]) if sdp else np.asarray(row[bi], dtype=float).reshape(-1)
             if a.shape != shape:
-                errors.append((r, bi, f"{names[r]}: {what} {a.shape} != block size"))
-            else:
-                stacks.setdefault(a.dtype, []).append((r, a))
-        for pairs in stacks.values():
-            rs, entries = zip(*pairs)
-            a = np.stack(entries)
-            if block.kind == "sdp":
-                ah = a.conj().transpose(0, 2, 1)
-                scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
-                bad = np.abs(a - ah).max(axis=(1, 2)) > 1e-10 * scale
-                for k in np.flatnonzero(bad):
-                    errors.append((rs[k], bi, f"{names[rs[k]]}: SDP entry is not Hermitian"))
-                a = (a + ah) / 2.0
-            a.setflags(write=False)
-            for r, entry in zip(rs, a):
-                out[r][bi] = entry
+                what = "SDP entry shape" if sdp else "LP entry length"
+                errors.append((r, bi, f": {what} {a.shape} != block size"))
+                continue
+            rs, arrays = given.setdefault(a.dtype.kind == "c", ([], []))
+            rs.append(r)
+            arrays.append(a)
+        stack = np.zeros((len(rows), *shape), dtype=complex if True in given else float)
+        entries.append(None)
+        for is_complex, (rs, arrays) in given.items():
+            part = np.array(arrays, dtype=complex if is_complex else float)
+            if sdp:
+                for k in np.flatnonzero(_large(part - _h(part), _scale(part))):
+                    errors.append((rs[k], bi, ": SDP entry is not Hermitian"))
+                part = _sym(part)
+            stack[rs] = part
+            if rs[0] == 0:  # the objective, in its own dtype
+                entries[-1] = objective = part[0].copy()
+                objective.setflags(write=False)
+        stack.setflags(write=False)
+        stacks.append(stack[1:])
     if errors:
-        raise ValueError(min(errors, key=lambda e: e[:2])[2])
-    return [tuple(row) for row in out]
+        r, _, msg = min(errors, key=lambda e: e[:2])
+        raise ValueError((f"constraint {r - 1}" if r else "objective") + msg)
+    return tuple(entries), tuple(stacks)
 
 
 @dataclass(frozen=True)
@@ -270,8 +295,9 @@ def solve_many(problems, **options) -> list:
 def _groups(problems: list) -> list:
     """The indices of the problems that run in lockstep, one list per group.
 
-    A group shares blocks, sense, objective dtypes, constraint senses and
-    constraint coefficients, the latter compared byte for byte.
+    A group shares blocks, sense, constraint senses and each block's stack
+    of constraint coefficients, compared by dtype and bytes: a None entry
+    and an explicit zero one are the same.
     """
     if len(problems) == 1:
         return [[0]]
@@ -280,11 +306,8 @@ def _groups(problems: list) -> list:
         key = (
             p.blocks,
             p.maximize,
-            tuple(np.iscomplexobj(e) for e in p.objective),
-            tuple(
-                (c.sense, *(None if e is None else e.tobytes() for e in c.coeffs))
-                for c in p.constraints
-            ),
+            p._le.tobytes(),
+            tuple((s.dtype, s.tobytes()) for s in p._stacks),
         )
         groups.setdefault(key, []).append(i)
     return list(groups.values())
@@ -303,17 +326,17 @@ class _Standardized:
         first = problems[0]
         self.sign = -1.0 if first.maximize else 1.0
         self.blocks = list(first.blocks)
-        m = len(first.constraints)
-        le_rows = [i for i, c in enumerate(first.constraints) if c.sense == "le"]
+        self.m = m = len(first.constraints)
         self.n_user_blocks = len(self.blocks)
+        stacks = list(first._stacks)
         self.slack_index = None
-        if le_rows:
+        if first._le.any():
+            # The slack block: one column per "le" row, with coefficient 1.
+            le_rows = np.flatnonzero(first._le)
             self.slack_index = len(self.blocks)
             self.blocks.append(Block("lp", len(le_rows)))
-        self.m = m
-        self.b = np.array(
-            [[c.rhs for c in p.constraints] for p in problems], dtype=float
-        ).reshape(len(problems), m)
+            stacks.append(scipy.sparse.eye(m, format="csr")[:, le_rows])
+        self.b = np.stack([p._rhs for p in problems])
 
         # Constraint stacks: dense (m, n, n) per SDP block, in the block's
         # dtype, with their float64 views (m, n*n or 2*n*n); sparse CSR per LP,
@@ -324,44 +347,19 @@ class _Standardized:
         self.lp_mat_t: dict[int, scipy.sparse.csr_matrix] = {}
         self.objective = []
         row_sq = np.zeros(m)  # squared norm of each user constraint row
-        for bi, block in enumerate(self.blocks):
-            user = bi < self.n_user_blocks
-            entries = [p.objective[bi] for p in problems] if user else []
+        for bi, (block, stack) in enumerate(zip(self.blocks, stacks)):
             if block.kind == "sdp":
-                coeffs = [con.coeffs[bi] for con in first.constraints]
-                complex_data = any(np.iscomplexobj(e) for e in [*entries, *coeffs])
-                dtype = complex if complex_data else float
-                stack = np.zeros((m, block.size, block.size), dtype=dtype)
-                for i, entry in enumerate(coeffs):
-                    if entry is not None:
-                        stack[i] = entry
                 self.sdp_stack[bi] = stack
-                self.sdp_flat[bi] = stack.reshape(m, block.size**2).view(float)
-                row_sq += np.einsum("ij,ij->i", self.sdp_flat[bi], self.sdp_flat[bi])
-                objective = np.zeros((len(problems), block.size, block.size), dtype=dtype)
+                self.sdp_flat[bi] = flat = stack.reshape(m, block.size**2).view(float)
+                row_sq += np.einsum("ij,ij->i", flat, flat)
             else:
-                rows, cols, vals = [], [], []
-                if bi == self.slack_index:
-                    for j, i in enumerate(le_rows):
-                        rows.append(i)
-                        cols.append(j)
-                        vals.append(1.0)
-                else:
-                    for i, con in enumerate(first.constraints):
-                        entry = con.coeffs[bi]
-                        if entry is not None:
-                            nz = np.nonzero(entry)[0]
-                            rows.extend([i] * len(nz))
-                            cols.extend(nz.tolist())
-                            vals.extend(entry[nz].tolist())
-                    row_sq += np.bincount(
-                        np.asarray(rows, dtype=int), np.square(vals), minlength=m
-                    )
-                self.lp_mat[bi] = scipy.sparse.csr_matrix(
-                    (vals, (rows, cols)), shape=(m, block.size)
-                )
-                self.lp_mat_t[bi] = self.lp_mat[bi].T.tocsr()
-                objective = np.zeros((len(problems), block.size))
+                self.lp_mat[bi] = mat = scipy.sparse.csr_matrix(stack)
+                self.lp_mat_t[bi] = mat.T.tocsr()
+                if bi != self.slack_index:
+                    row = np.repeat(np.arange(m), np.diff(mat.indptr))
+                    row_sq += np.bincount(row, np.square(mat.data), minlength=m)
+            objective = np.zeros((len(problems), *stack.shape[1:]), dtype=stack.dtype)
+            entries = [p.objective[bi] for p in problems] if bi < self.n_user_blocks else []
             for k, entry in enumerate(entries):
                 if entry is not None:
                     objective[k] = entry

@@ -83,12 +83,16 @@ def depolarizing_reduction(n: int, d: int, p: float) -> LPReduction:
 def _check_dp_args(n, d, p):
     if int(n) != n or n < 1:
         raise ValueError(f"blocklength must be a positive integer, got {n}")
+    return (int(n), *_check_dp(d, p))
+
+
+def _check_dp(d, p):
     if int(d) != d or d < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {d}")
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter must lie in [0, 1], got {p}")
-    return int(n), int(d), p
+    return int(d), p
 
 
 def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
@@ -163,12 +167,15 @@ def classical_cost_lp(
     the optimum is sum_y max_x N(y|x) directly.
 
     Raises:
-        ValueError: if the matrix is not row-stochastic, eps is out of range
-            or a solver option is invalid, at eps = 0 too.
+        ValueError: if the matrix has a non-finite entry or is not
+            row-stochastic, eps is out of range or a solver option is
+            invalid, at eps = 0 too.
     """
     mat = np.asarray(channel, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"channel must be a 2-D matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("channel matrix has non-finite entries")
     if np.min(mat) < -1e-12:
         raise ValueError("channel matrix has negative entries")
     row_sums = mat.sum(axis=1)
@@ -211,11 +218,7 @@ def depolarizing_mutual_info(d: int, p: float) -> float:
     entanglement-assisted quantum capacity, the asymptote of the per-use
     simulation cost.
     """
-    if int(d) != d or d < 2:
-        raise ValueError(f"local dimension must be an integer >= 2, got {d}")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter must lie in [0, 1], got {p}")
+    d, p = _check_dp(d, p)
     d2 = d * d
     lam1 = 1.0 - p + p / d2
     lam2 = p / d2

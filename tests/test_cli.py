@@ -145,6 +145,10 @@ def test_usage_errors(capsys):
     assert run([*classical, "--gap-tol", "nan"]) == 2
     assert run([*classical, "--feas-tol", "0"]) == 2
     assert run([*classical, "--max-iter", "-1"]) == 2
+    # A non-finite matrix entry is a usage error, with or without a solve.
+    for eps in ("0.05", "0"):
+        assert run(["classical-lp", "--matrix", "nan,1;0.5,0.5", "--eps", eps]) == 2
+        assert "non-finite" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -251,6 +251,35 @@ class TestSolveBasics:
                 constraints=(Constraint((None,), 1.0, "eq"),),
             )
 
+    def test_validation_reports_first_bad_entry_in_row_order(self):
+        blocks = (Block("sdp", 2), Block("lp", 2))
+        asymmetric = np.array([[0.0, 1.0], [0.0, 0.0]])
+        valid = Constraint((np.eye(2), np.ones(2)), 1.0)
+        rows = [
+            Constraint((np.eye(2), np.ones(3)), 1.0),  # LP entry length
+            Constraint((asymmetric, None), 1.0),
+        ]
+        with pytest.raises(ValueError, match=r"constraint 0: LP entry length \(3,\)"):
+            ConicProblem(blocks, (np.eye(2), np.ones(2)), tuple(rows))
+        with pytest.raises(ValueError, match="constraint 1: SDP entry is not Hermitian"):
+            ConicProblem(blocks, (np.eye(2), np.ones(2)), (valid, rows[1]))
+        with pytest.raises(ValueError, match=r"objective: SDP entry shape \(3, 3\)"):
+            ConicProblem(blocks, (np.eye(3), np.ones(2)), tuple(rows))
+        with pytest.raises(ValueError, match="constraint 1: expected 2 block entries"):
+            ConicProblem(blocks, (None, None), (valid, Constraint((None,), 1.0)))
+
+    def test_constraints_may_be_a_generator(self):
+        # min x1 + 2 x2 s.t. x1 + x2 = 1, x >= 0: the rows are read once.
+        prob = ConicProblem(
+            blocks=(Block("lp", 2),),
+            objective=(np.array([1.0, 2.0]),),
+            constraints=(Constraint((np.ones(2),), 1.0) for _ in range(1)),
+        )
+        assert len(prob.constraints) == 1
+        sol = solve(prob)
+        assert sol.status == "optimal"
+        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+
 
 class TestRealForm:
     SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -604,6 +633,21 @@ def assert_same_solution(got, want):
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def assert_bitwise_equal(got, want):
+    """Two solutions with the same status, iterations and bits."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for a, b in (
+        (got.primal_value, want.primal_value),
+        (got.dual_value, want.dual_value),
+        (got.primal_residual, want.primal_residual),
+        (got.dual_residual, want.dual_residual),
+    ):
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
+    assert got.dual_multipliers.tobytes() == want.dual_multipliers.tobytes()
+    for a, b in zip(got.primal_blocks, want.primal_blocks, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
 class TestSolveMany:
     """solve_many(problems) against [solve(p) for p in problems]."""
 
@@ -675,6 +719,52 @@ class TestSolveMany:
         batch = [first[0], second[0], lp[0], first[1], second[1], first[2], lp[1]]
         assert len(conic._groups(batch)) == 3
         self.check(batch)
+
+    def test_none_and_zero_coefficients_share_a_group(self):
+        # The same program, with absent coefficients given as None in one
+        # copy and as explicit zeros in the other: one stack, one group.
+        blocks = (Block("sdp", 2), Block("lp", 2))
+        objective = (np.diag([1.0, 2.0]), np.array([1.0, 3.0]))
+        absent = [(np.eye(2), None), (None, np.ones(2))]
+        zeros = [(np.eye(2), np.zeros(2)), (np.zeros((2, 2)), np.ones(2))]
+        batch = [
+            ConicProblem(blocks, objective, tuple(Constraint(c, 1.0) for c in rows))
+            for rows in (absent, zeros)
+        ]
+        assert batch[0].constraints[0].coeffs[1] is None
+        assert conic._groups(batch) == [[0, 1]]
+        sols = solve_many(batch)
+        for sol, want in zip(sols, [solve(p) for p in batch]):
+            assert_bitwise_equal(sol, want)
+        assert_bitwise_equal(sols[0], sols[1])
+        assert sols[0].status == "optimal"
+        assert sols[0].primal_value == pytest.approx(2.0, abs=1e-7)
+
+    def test_block_with_real_and_complex_entries(self):
+        # One real and one complex constraint entry on an SDP block: the
+        # block's stack, and so every row view, is complex, while the real
+        # objective entry stays real.
+        sigma_y = np.array([[0.0, -1j], [1j, 0.0]])
+        prob = ConicProblem(
+            blocks=(Block("sdp", 2),),
+            objective=(np.array([[2.0, -0.0], [-0.0, 1.0]]),),
+            constraints=(
+                Constraint((np.eye(2),), 1.0),
+                Constraint((sigma_y,), 0.5),
+            ),
+        )
+        views = [con.coeffs[0] for con in prob.constraints]
+        assert all(np.iscomplexobj(v) and not v.flags.writeable for v in views)
+        assert not np.iscomplexobj(prob.objective[0])
+        doc = problem_to_json(prob)
+        back = problem_from_json(json.loads(json.dumps(doc)))
+        assert problem_to_json(back) == doc
+        for got, want in zip(back.constraints, prob.constraints):
+            assert np.array_equal(got.coeffs[0], want.coeffs[0])
+        assert conic._groups([prob, back]) == [[0, 1]]
+        sols = self.check([prob, back])
+        assert_bitwise_equal(sols[0], sols[1])
+        assert sols[0].status == "optimal"
 
     def test_empty_batch(self):
         assert solve_many([]) == []

@@ -236,6 +236,12 @@ def test_classical_lp_rejects_bad_input():
         classical_cost_lp(np.ones(3), 0.0)
     with pytest.raises(ValueError):
         classical_cost_lp(np.eye(2), 1.5)
+    # NaN passes the sign and row-sum tests, since every comparison with it
+    # is false; it must not reach the solver.
+    for bad in (math.nan, math.inf):
+        for eps in (0.0, 0.05):
+            with pytest.raises(ValueError, match="non-finite"):
+                classical_cost_lp(np.array([[bad, 1.0], [0.5, 0.5]]), eps)
 
 
 # ---------------------------------------------------------------------------
