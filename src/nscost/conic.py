@@ -9,7 +9,8 @@ with <A, X> = Re tr(A X), and solved with a Nesterov-Todd scaled Mehrotra
 predictor-corrector method. Inequality rows are converted internally to
 equalities with one nonnegative slack each. Step lengths come from the NT
 factors: with G X G^H = I, the step to the boundary along dX is
--1/lambda_min(G dX G^H), one eigvalsh call per PSD block for both sides.
+-1/lambda_min(G dX G^H), one eigvalsh call per group of PSD blocks (see
+below) for both sides.
 
 There is one path for real and complex data. A PSD block is real symmetric
 (float64) when every entry given for it is real, and complex Hermitian
@@ -24,8 +25,16 @@ them real blocks whenever the data allow it.
 
 Standardized form. :class:`ConicProblem` checks each block's constraint
 coefficients once, into one read-only (m, n, n) or (m, n) stack in the
-block's dtype. The solver runs on these stacks as they are (LP ones as CSR),
-with a slack block appended for the inequality rows.
+block's dtype. The solver groups the blocks by kind, size and dtype: the k
+PSD blocks of one size n and dtype share one iterate array, their (batch,
+k, n, n) stack held as (batch * k, n, n), and every LP block shares one
+vector with a slack for each inequality row. The NT scaling, the corrector,
+the step lengths, the updates and the inner products run once per block
+group. The products with the constraint data (A x, A^T y, the Newton rhs
+and the Schur terms W A_i W) stay per block, on the stacks as they are, and
+the LP group's stacks are joined into one CSR. Sums over blocks add their
+terms in block order, the LP group as one term, so grouping changes no value
+of a problem without LP blocks.
 
 Batches. :func:`solve_many` solves a list of problems. It groups those
 whose blocks, senses and coefficient stacks (dtype and bytes) are equal
@@ -46,10 +55,9 @@ bitwise-identical iterate sequences.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,83 +325,136 @@ def _groups(problems: list) -> list:
 # Standardized internal form
 
 
+class _BlockGroup:
+    """Blocks whose iterates share one array of `rows` items per instance:
+    the k PSD blocks of one size n and dtype, (batch * k, n, n), with their
+    stacks and the float64 views of those, (m, n*n or 2*n*n); or every LP
+    block and the slack of the "le" rows, one (total,) item per instance,
+    with the CSR (m, total) of their stacks side by side, its transpose and
+    its CSC. The batch * k rows are the (batch, k, n, n) stack of the blocks
+    flattened, so that each per-matrix step sees three axes."""
+
+    def __init__(self, members: list, stacks: list, m: int, le_rows=None):
+        self.members = members
+        self.sdp = le_rows is None
+        if self.sdp:
+            self.stacks = stacks
+            self.flats = [st.reshape(m, -1).view(float) for st in stacks]
+            self.rows, self.item = len(stacks), stacks[0].shape[1:]
+            self.dtype = stacks[0].dtype
+            return
+        user = np.concatenate([np.zeros((m, 0)), *stacks], axis=1)
+        rows, cols = np.nonzero(user)
+        n = user.shape[1]
+        self.rows, self.item, self.dtype = 1, (n + len(le_rows),), np.dtype(float)
+        # The slack: one column per "le" row, with coefficient 1.
+        data = np.concatenate((user[rows, cols], np.ones(len(le_rows))))
+        rows = np.concatenate((rows, le_rows))
+        cols = np.concatenate((cols, np.arange(n, self.item[0])))
+        self.mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, *self.item))
+        self.csc = self.mat.tocsc()
+        self.mat_t = self.csc.T  # a CSR view of the CSC's arrays
+
+
 class _Standardized:
-    """Equality-form data of one group: slack block appended, maximize folded
-    into signs. The constraint data are shared; objectives and rhs have a
+    """Equality-form data of one group of problems, maximize folded into
+    signs. The blocks run in :class:`_BlockGroup` s, in order of first
+    appearance. The constraint data are shared; objectives and rhs have a
     leading batch axis, one row per problem."""
 
     def __init__(self, problems: list):
         first = problems[0]
         self.sign = -1.0 if first.maximize else 1.0
-        self.blocks = list(first.blocks)
         self.m = m = len(first.constraints)
-        self.n_user_blocks = len(self.blocks)
-        stacks = list(first._stacks)
-        self.slack_index = None
-        if first._le.any():
-            # The slack block: one column per "le" row, with coefficient 1.
-            le_rows = np.flatnonzero(first._le)
-            self.slack_index = len(self.blocks)
-            self.blocks.append(Block("lp", len(le_rows)))
-            stacks.append(scipy.sparse.eye(m, format="csr")[:, le_rows])
         self.b = np.stack([p._rhs for p in problems])
+        stacks = first._stacks
+        flats = [st.reshape(m, -1).view(float) for st in stacks]
+        row_sq = sum(np.einsum("ij,ij->i", f, f) for f in flats)  # per row, its |.|^2
+        keys: dict = {}  # (PSD, size, dtype) -> blocks; the LP blocks share one
+        for bi, (block, stack) in enumerate(zip(first.blocks, stacks)):
+            sdp = block.kind == "sdp"
+            keys.setdefault((sdp, block.size if sdp else 0, stack.dtype), []).append(bi)
+        le_rows = np.flatnonzero(first._le)
+        if len(le_rows):
+            keys.setdefault((False, 0, np.dtype(float)), [])
+        self.groups = [
+            _BlockGroup(bis, [stacks[bi] for bi in bis], m, None if sdp else le_rows)
+            for (sdp, _, _), bis in keys.items()
+        ]
+        self.pure_lp = not any(g.sdp for g in self.groups)
+        self.nu = sum(b.size for b in first.blocks) + len(le_rows)
+        # Where each block sits in an instance's rows of its group's array:
+        # (group, row, index in the row). The terms of a sum over blocks, in
+        # block order, are the (group, row) pairs: one per PSD block, and
+        # one for the LP group.
+        self.places = [None] * len(stacks)
+        for gi, g in enumerate(self.groups):
+            start = 0
+            for j, bi in enumerate(g.members):
+                end = start + stacks[bi].shape[1]
+                self.places[bi] = (gi, j, ...) if g.sdp else (gi, 0, slice(start, end))
+                start = end
+        self.terms = list(dict.fromkeys(
+            [(gi, j) for gi, j, _ in self.places]
+            + [(gi, 0) for gi, g in enumerate(self.groups) if not g.sdp]
+        ))
+        starts = list(itertools.accumulate((g.rows for g in self.groups), initial=0))
+        self._dot_order = [starts[gi] + j for gi, j in self.terms]
+        self.objective = self.grouped(list(zip(*(p.objective for p in problems))))
+        for c in self.objective:
+            c *= self.sign
+        self.norm_a = math.sqrt(row_sq.max())
+        self.norm_b = np.sqrt(_dots(self.b, self.b))
+        self.norm_c = np.sqrt(self.dots(self.objective, self.objective))
 
-        # Constraint stacks: dense (m, n, n) per SDP block, in the block's
-        # dtype, with their float64 views (m, n*n or 2*n*n); sparse CSR per LP,
-        # and of its transpose.
-        self.sdp_stack: dict[int, np.ndarray] = {}
-        self.sdp_flat: dict[int, np.ndarray] = {}
-        self.lp_mat: dict[int, scipy.sparse.csr_matrix] = {}
-        self.lp_mat_t: dict[int, scipy.sparse.csr_matrix] = {}
-        self.objective = []
-        row_sq = np.zeros(m)  # squared norm of each user constraint row
-        for bi, (block, stack) in enumerate(zip(self.blocks, stacks)):
-            if block.kind == "sdp":
-                self.sdp_stack[bi] = stack
-                self.sdp_flat[bi] = flat = stack.reshape(m, block.size**2).view(float)
-                row_sq += np.einsum("ij,ij->i", flat, flat)
-            else:
-                self.lp_mat[bi] = mat = scipy.sparse.csr_matrix(stack)
-                self.lp_mat_t[bi] = mat.T.tocsr()
-                if bi != self.slack_index:
-                    row = np.repeat(np.arange(m), np.diff(mat.indptr))
-                    row_sq += np.bincount(row, np.square(mat.data), minlength=m)
-            objective = np.zeros((len(problems), *stack.shape[1:]), dtype=stack.dtype)
-            entries = [p.objective[bi] for p in problems] if bi < self.n_user_blocks else []
+    def grouped(self, blocks: list) -> list:
+        """Per block, one entry per instance (None for 0), as group arrays;
+        the slack's entries are 0."""
+        out = [np.zeros((len(self.b) * g.rows, *g.item), g.dtype) for g in self.groups]
+        for (gi, j, where), entries in zip(self.places, blocks):
             for k, entry in enumerate(entries):
                 if entry is not None:
-                    objective[k] = entry
-            objective *= self.sign
-            self.objective.append(objective)
-        self.pure_lp = not self.sdp_stack
-        if self.pure_lp:
-            self.lp_all = scipy.sparse.hstack(
-                [self.lp_mat[bi] for bi in range(len(self.blocks))], format="csr"
-            )
-            self.lp_all_csc = self.lp_all.tocsc()
-        self.norm_a = math.sqrt(row_sq.max()) if m else 1.0
-        self.norm_b = np.sqrt(_dots(self.b, self.b))
-        self.norm_c = np.sqrt(_total(_dots(c, c) for c in self.objective))
+                    out[gi][k * self.groups[gi].rows + j][where] = entry
+        return out
+
+    def dots(self, a: list, b: list) -> np.ndarray:
+        """Re <a_k, b_k> for each instance k of two lists of group arrays:
+        one product per group gives the dot of each block, and the dots are
+        added left to right in block order."""
+        if len(self.terms) == 1:  # the same product, with less to set up
+            return _dots(a[0], b[0])
+        parts = []
+        for g, ag, bg in zip(self.groups, a, b):
+            lead = (len(ag) // g.rows, g.rows)
+            fa, fb = ag.reshape(*lead, -1).view(float), bg.reshape(*lead, -1).view(float)
+            parts.append((fa[..., None, :] @ fb[..., None])[..., 0, 0])
+        dots = np.concatenate(parts, axis=1)[:, self._dot_order]
+        return np.add.accumulate(dots, axis=1)[:, -1]
 
     # -- block-space linear maps, per instance ---------------------------
 
-    def apply_A(self, x: list) -> np.ndarray:
-        return _total(
-            _times(_flat(x[bi]), self.sdp_flat[bi].T)
-            if block.kind == "sdp"
-            else (self.lp_mat[bi] @ x[bi].T).T
-            for bi, block in enumerate(self.blocks)
-        )
+    def apply_A(self, x: list, start=None) -> np.ndarray:
+        """A x per instance, plus `start` if given, added in block order."""
+        out = start
+        for gi, j in self.terms:
+            g = self.groups[gi]
+            if g.sdp:
+                term = _times(_flat(x[gi][j :: g.rows]), g.flats[j].T)
+            else:
+                term = (g.mat @ x[gi].T).T
+            out = term if out is None else out + term
+        return out
 
     def apply_At(self, y: np.ndarray) -> list:
         out = []
-        for bi, block in enumerate(self.blocks):
-            if block.kind == "sdp":
-                stack = self.sdp_stack[bi]
-                flat = _times(y, self.sdp_flat[bi])
-                out.append(flat.view(stack.dtype).reshape(len(y), *stack.shape[1:]))
+        for g in self.groups:
+            if g.sdp:
+                flat = np.empty((len(y), g.rows, 1, g.flats[0].shape[1]))
+                for j, f in enumerate(g.flats):
+                    np.matmul(y[:, None, :], f, out=flat[:, j])
+                out.append(flat.view(g.dtype).reshape(-1, *g.item))
             else:
-                out.append((self.lp_mat_t[bi] @ y.T).T)
+                out.append((g.mat_t @ y.T).T)
         return out
 
 
@@ -401,11 +462,6 @@ def _flat(a: np.ndarray) -> np.ndarray:
     """Float64 view of each instance's flattened block: Re tr(A B) =
     _flat(A)[k] @ _flat(B)[k] for Hermitian A and B."""
     return a.reshape(len(a), -1).view(float)
-
-
-def _total(arrays) -> np.ndarray:
-    """The sum of a nonempty sequence of arrays."""
-    return functools.reduce(operator.add, arrays)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -419,9 +475,15 @@ def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ mat)[:, 0]
 
 
+def _per_row(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A per-instance vector v, repeated for each of an instance's rows of a
+    group array a."""
+    return v if len(v) == len(a) else np.repeat(v, len(a) // len(v))
+
+
 def _bc(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """A per-instance vector v, shaped to scale the instances of a."""
-    return v.reshape(-1, *(1,) * (a.ndim - 1))
+    return _per_row(v, a).reshape(-1, *(1,) * (a.ndim - 1))
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -455,10 +517,10 @@ def _dense_solver(mat: np.ndarray):
 
 
 class _NTScaling:
-    """Per-block Nesterov-Todd scaling data for one iterate of each instance.
+    """Per-group Nesterov-Todd scaling data for one iterate of each instance.
 
-    On an SDP block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
-    G[bi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
+    On a PSD block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
+    G[gi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
     """
 
     def __init__(self, std: _Standardized, x: list, s: list):
@@ -468,32 +530,32 @@ class _NTScaling:
         self.lam: dict[int, np.ndarray] = {}
         self.G: dict[int, np.ndarray] = {}
         self.w2: dict[int, np.ndarray] = {}
-        for bi, block in enumerate(std.blocks):
-            if block.kind == "sdp":
+        for gi, g in enumerate(std.groups):
+            if g.sdp:
                 try:
-                    factors = np.linalg.cholesky(np.concatenate((x[bi], s[bi])))
+                    factors = np.linalg.cholesky(np.concatenate((x[gi], s[gi])))
                 except np.linalg.LinAlgError as exc:
                     raise SolverFailure(
                         "iterate left the PSD cone (Cholesky breakdown)"
                     ) from exc
-                lx, ls = factors.reshape(2, -1, block.size, block.size)
+                lx, ls = factors.reshape(2, *x[gi].shape)
                 u, sig, vt = np.linalg.svd(_h(ls) @ lx)
                 if sig[:, -1].min() <= 0.0:
                     raise SolverFailure("NT scaling breakdown: singular iterate")
                 inv_sqrt = 1.0 / np.sqrt(sig)
                 r = lx @ (_h(vt) * inv_sqrt[:, None, :])
                 rinv = (inv_sqrt[:, :, None] * _h(u)) @ _h(ls)
-                self.R[bi] = r
-                self.Rinv[bi] = rinv
-                self.W[bi] = r @ _h(r)
-                self.lam[bi] = sig
-                g = np.concatenate((rinv[:, None], _h(r)[:, None]), axis=1)
-                self.G[bi] = g * inv_sqrt[:, None, :, None]
+                self.R[gi] = r
+                self.Rinv[gi] = rinv
+                self.W[gi] = r @ _h(r)
+                self.lam[gi] = sig
+                pair = np.concatenate((rinv[:, None], _h(r)[:, None]), axis=1)
+                self.G[gi] = pair * inv_sqrt[:, None, :, None]
             else:
-                if x[bi].min() <= 0.0 or s[bi].min() <= 0.0:
+                if x[gi].min() <= 0.0 or s[gi].min() <= 0.0:
                     raise SolverFailure("iterate left the nonnegative cone")
-                self.w2[bi] = x[bi] / s[bi]
-                self.lam[bi] = np.sqrt(x[bi] * s[bi])
+                self.w2[gi] = x[gi] / s[gi]
+                self.lam[gi] = np.sqrt(x[gi] * s[gi])
 
 
 class _SchurSolver:
@@ -501,26 +563,29 @@ class _SchurSolver:
     shared by both Newton solves.
 
     A pure LP factorizes each instance's sparse A diag(w2) A^T with a sparse
-    LU. Any SDP block gives a dense M, assembled for all instances as one
-    stack; those, and any M whose LU fails, take a jittered Cholesky factor.
+    LU. Any PSD block gives a dense M, assembled for all instances as one
+    stack, a term per block; those, and any M whose LU fails, take a
+    jittered Cholesky factor.
     """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
         if std.pure_lp:
-            a = std.lp_all_csc
-            d = np.concatenate([nt.w2[bi] for bi in range(len(std.blocks))], axis=1)
-            self._systems = [_sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in d]
+            a = std.groups[0].csc
+            self._systems = [
+                _sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in nt.w2[0]
+            ]
             return
         mat = None
-        for bi, block in enumerate(std.blocks):
-            if block.kind == "sdp":
-                w = nt.W[bi][:, None]
-                waw = np.matmul(w, np.matmul(std.sdp_stack[bi], w))
+        for gi, j in std.terms:
+            g = std.groups[gi]
+            if g.sdp:
+                w = nt.W[gi][j :: g.rows, None]
+                waw = np.matmul(w, np.matmul(g.stacks[j], w))
                 flat = waw.reshape(len(waw), std.m, -1).view(float)
-                term = np.matmul(std.sdp_flat[bi], flat.swapaxes(1, 2))
-            elif std.lp_mat[bi].nnz:
-                a = std.lp_mat[bi]
-                term = np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[bi]])
+                term = np.matmul(g.flats[j], flat.swapaxes(1, 2))
+            elif g.mat.nnz:
+                a = g.mat
+                term = np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[gi]])
             else:
                 continue
             mat = term if mat is None else mat + term
@@ -559,30 +624,25 @@ def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
     """Solve the problems of one group in lockstep; see :func:`solve_many`."""
-    std = _Standardized(problems)
-    sign = std.sign
-    if std.m == 0:
+    if not problems[0].constraints:
         # Nothing constrains the cone variable: unbounded below unless C = 0,
         # and even then nothing useful to report. Declared, not solved.
-        value = -math.inf if sign > 0 else math.inf
+        value = math.inf if problems[0].maximize else -math.inf
         return [
             ConicSolution("unbounded", value, value, math.nan, (), np.zeros(0), 0,
                           math.nan, math.nan)
             for _ in problems
         ]
-
-    blocks = range(len(std.blocks))
-    nu = sum(b.size for b in std.blocks)
+    std = _Standardized(problems)
+    sign, nu = std.sign, std.nu
     rho_p = np.maximum(1.0, std.norm_b / max(1.0, std.norm_a))
     rho_d = np.maximum(rho_p, std.norm_c / math.sqrt(nu))
     x, s = [], []
-    for bi, block in enumerate(std.blocks):
-        if block.kind == "sdp":
-            unit = np.eye(block.size, dtype=std.sdp_stack[bi].dtype)
-        else:
-            unit = np.ones(block.size)
-        x.append(_bc(rho_p, unit[None]) * unit)
-        s.append(_bc(rho_d, unit[None]) * unit)
+    for g in std.groups:
+        unit = np.eye(g.item[0], dtype=g.dtype) if g.sdp else np.ones(g.item)
+        unit = np.broadcast_to(unit, (len(problems) * g.rows, *g.item))
+        x.append(_bc(rho_p, unit) * unit)
+        s.append(_bc(rho_d, unit) * unit)
     y = np.zeros((len(problems), std.m))
     # Per-instance data of the instances still running; `active` holds
     # their indices in `problems`.
@@ -596,13 +656,13 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
         ax = std.apply_A(x)
         rp = b - ax
         aty = std.apply_At(y)
-        rd = [c[bi] - aty[bi] - s[bi] for bi in blocks]
-        pobj = _total(_dots(c[bi], x[bi]) for bi in blocks)
+        rd = [cg - ag - sg for cg, ag, sg in zip(c, aty, s)]
+        pobj = std.dots(c, x)
         dobj = _dots(b, y)
-        mu = _total(_dots(x[bi], s[bi]) for bi in blocks) / nu
+        mu = std.dots(x, s) / nu
         pres = np.sqrt(_dots(rp, rp)) / scale_b
-        dres = np.sqrt(_total(_dots(r, r) for r in rd)) / scale_c
-        certificates = _certificates(x, s, y, ax, aty, pobj, dobj) if it >= 3 else None
+        dres = np.sqrt(std.dots(rd, rd)) / scale_c
+        certificates = _certificates(std, x, s, y, ax, aty, pobj, dobj) if it >= 3 else None
         # Per instance: record the iterate, then stop on optimality, on a
         # certificate or at the iteration cap.
         finished = []
@@ -619,8 +679,8 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
                 status = "max_iter"
             else:
                 continue
-            out[k] = _solution(std, status, [xb[pos] for xb in x], y[pos], pv, dv,
-                               pr, dr, it, traces[k])
+            own = [xg.reshape(len(y), -1, *xg.shape[1:])[pos] for xg in x]
+            out[k] = _solution(std, status, own, y[pos], pv, dv, pr, dr, it, traces[k])
             finished.append(pos)
         if len(finished) == len(active):
             break
@@ -628,7 +688,7 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
             # Finished instances leave the batch.
             keep = np.ones(len(active), dtype=bool)
             keep[finished] = False
-            x, s, rd, c = ([a[keep] for a in arrays] for arrays in (x, s, rd, c))
+            x, s, rd, c = ([a[_per_row(keep, a)] for a in arrays] for arrays in (x, s, rd, c))
             y, b, rp, mu, scale_b, scale_c, active = (
                 a[keep] for a in (y, b, rp, mu, scale_b, scale_c, active)
             )
@@ -637,14 +697,11 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
         schur = _SchurSolver(std, nt)
 
         # Predictor: target complementarity 0.
-        dy_aff, dx_aff, ds_aff = _newton_step(std, nt, schur, rp, rd, [-xb for xb in x])
+        dy_aff, dx_aff, ds_aff = _newton_step(std, nt, schur, rp, rd, [-xg for xg in x])
         ap, ad = np.minimum(_max_steps(std, nt, x, s, dx_aff, ds_aff), 1.0).T
-        mu_aff = _total(
-            _dots(
-                x[bi] + _bc(ap, x[bi]) * dx_aff[bi],
-                s[bi] + _bc(ad, s[bi]) * ds_aff[bi],
-            )
-            for bi in blocks
+        mu_aff = std.dots(
+            [xg + _bc(ap, xg) * dxg for xg, dxg in zip(x, dx_aff)],
+            [sg + _bc(ad, sg) * dsg for sg, dsg in zip(s, ds_aff)],
         ) / nu
         # sigma * mu, with sigma = (mu_aff / mu)^3 clipped to [0, 1].
         target = np.array([
@@ -654,34 +711,34 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
 
         # Corrector: target sigma*mu minus the affine cross term.
         rc_cor = []
-        for bi, block in enumerate(std.blocks):
-            if block.kind == "sdp":
-                lam, r, rinv = nt.lam[bi], nt.R[bi], nt.Rinv[bi]
-                dxh = rinv @ dx_aff[bi] @ _h(rinv)
-                dsh = _h(r) @ ds_aff[bi] @ r
+        for gi, g in enumerate(std.groups):
+            if g.sdp:
+                lam, r, rinv = nt.lam[gi], nt.R[gi], nt.Rinv[gi]
+                dxh = rinv @ dx_aff[gi] @ _h(rinv)
+                dsh = _h(r) @ ds_aff[gi] @ r
                 d = -_sym(dxh @ dsh)
-                d.reshape(len(d), -1)[:, :: block.size + 1] += target[:, None] - lam**2
+                d.reshape(len(d), -1)[:, :: g.item[0] + 1] += _bc(target, lam) - lam**2
                 z = 2.0 * d / (lam[:, :, None] + lam[:, None, :])
                 rc_cor.append(_sym(r @ z @ _h(r)))
             else:
-                d = target[:, None] - x[bi] * s[bi] - dx_aff[bi] * ds_aff[bi]
-                rc_cor.append(d / s[bi])
+                d = target[:, None] - x[gi] * s[gi] - dx_aff[gi] * ds_aff[gi]
+                rc_cor.append(d / s[gi])
         dy, dx, ds = _newton_step(std, nt, schur, rp, rd, rc_cor)
 
         steps = _STEP_TO_BOUNDARY * _max_steps(std, nt, x, s, dx, ds)
         ap, ad = np.minimum(steps, 1.0).T
-        for bi, block in enumerate(std.blocks):
-            x[bi] = x[bi] + _bc(ap, x[bi]) * dx[bi]
-            s[bi] = s[bi] + _bc(ad, s[bi]) * ds[bi]
-            if block.kind == "sdp":
-                x[bi], s[bi] = _sym(x[bi]), _sym(s[bi])
+        for gi, g in enumerate(std.groups):
+            x[gi] = x[gi] + _bc(ap, x[gi]) * dx[gi]
+            s[gi] = s[gi] + _bc(ad, s[gi]) * ds[gi]
+            if g.sdp:
+                x[gi], s[gi] = _sym(x[gi]), _sym(s[gi])
         y = y + ad[:, None] * dy
     return out
 
 
 def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolution:
-    """One instance's ConicSolution from its final iterate; the values and
-    residuals are floats."""
+    """One instance's ConicSolution from its final iterate (its rows of each
+    group array); the values and residuals are floats."""
     sign = std.sign
     primal_value = sign * pobj
     dual_value = sign * dobj
@@ -696,7 +753,7 @@ def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolu
         primal_value=primal_value,
         dual_value=dual_value,
         gap=abs(pobj - dobj) / (1.0 + abs(pobj)) if math.isfinite(pobj) else math.nan,
-        primal_blocks=tuple(xb.copy() for xb in x[: std.n_user_blocks]),
+        primal_blocks=tuple(x[gi][j][where].copy() for gi, j, where in std.places),
         dual_multipliers=sign * y,
         iterations=it,
         primal_residual=pres,
@@ -708,25 +765,21 @@ def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolu
 def _newton_step(std, nt, schur, rp, rd, rc):
     """Solve the scaled Newton system of each instance for given residual
     targets."""
-    rhs = rp
-    for bi, block in enumerate(std.blocks):
-        if block.kind == "sdp":
-            t = nt.W[bi] @ rd[bi] @ nt.W[bi] - rc[bi]
-            rhs = rhs + _times(_flat(t), std.sdp_flat[bi].T)
-        else:
-            t = nt.w2[bi] * rd[bi] - rc[bi]
-            rhs = rhs + (std.lp_mat[bi] @ t.T).T
-    dy = schur.solve(rhs)
+    t = [
+        nt.W[gi] @ rd[gi] @ nt.W[gi] - rc[gi] if g.sdp else nt.w2[gi] * rd[gi] - rc[gi]
+        for gi, g in enumerate(std.groups)
+    ]
+    dy = schur.solve(std.apply_A(t, rp))
     at_dy = std.apply_At(dy)
     dx, ds = [], []
-    for bi, block in enumerate(std.blocks):
-        dsb = rd[bi] - at_dy[bi]
-        if block.kind == "sdp":
-            dxb = _sym(rc[bi] - nt.W[bi] @ dsb @ nt.W[bi])
+    for gi, g in enumerate(std.groups):
+        dsg = rd[gi] - at_dy[gi]
+        if g.sdp:
+            dxg = _sym(rc[gi] - nt.W[gi] @ dsg @ nt.W[gi])
         else:
-            dxb = rc[bi] - nt.w2[bi] * dsb
-        dx.append(dxb)
-        ds.append(dsb)
+            dxg = rc[gi] - nt.w2[gi] * dsg
+        dx.append(dxg)
+        ds.append(dsg)
     return dy, dx, ds
 
 
@@ -735,25 +788,27 @@ def _max_steps(std, nt, x, s, dx, ds) -> np.ndarray:
     _BIG_STEP, as one row (primal, dual) per instance.
 
     With G X G^H = I, X + a dX is PSD exactly for a <= -1/lambda_min(G dX G^H);
-    one eigvalsh per SDP block serves the primal and the dual side.
+    one eigvalsh per PSD group serves every block and both sides.
     """
     out = None
-    for bi, block in enumerate(std.blocks):
-        if block.kind == "sdp":
-            g = nt.G[bi]
-            t = g @ np.concatenate((dx[bi][:, None], ds[bi][:, None]), axis=1) @ _h(g)
+    for gi, g in enumerate(std.groups):
+        if g.sdp:
+            gg = nt.G[gi]
+            t = gg @ np.concatenate((dx[gi][:, None], ds[gi][:, None]), axis=1) @ _h(gg)
             lo = np.linalg.eigvalsh((t + _h(t)) / 2.0)[..., 0]
+            if g.rows > 1:  # an instance's smallest over its blocks
+                lo = np.minimum.reduce(lo.reshape(-1, g.rows, 2), axis=1)
             steps = -1.0 / np.minimum(lo, -1e-14)
             steps[lo >= -1e-14] = _BIG_STEP
         else:
             steps = np.concatenate(
-                (_max_step_lp(x[bi], dx[bi]), _max_step_lp(s[bi], ds[bi])), axis=1
+                (_max_step_lp(x[gi], dx[gi]), _max_step_lp(s[gi], ds[gi])), axis=1
             )
         out = steps if out is None else np.minimum(out, steps)
     return out
 
 
-def _certificates(x, s, y, ax, aty, pobj, dobj) -> list:
+def _certificates(std, x, s, y, ax, aty, pobj, dobj) -> list:
     """Per instance, 'infeasible' or 'unbounded' when the iterate is a
     Farkas-style certificate of either, else None; ax = A x, aty = A^T y,
     pobj = <C, X> and dobj = b . y."""
@@ -761,11 +816,11 @@ def _certificates(x, s, y, ax, aty, pobj, dobj) -> list:
     infeasible = dobj > 1e-8
     if infeasible.any():
         infeasible &= dobj > 1e-8 * (1.0 + np.sqrt(_dots(y, y)))
-        res = [a + sb for a, sb in zip(aty, s)]
-        infeasible &= np.sqrt(_total(_dots(r, r) for r in res)) <= 1e-7 * dobj
+        res = [a + sg for a, sg in zip(aty, s)]
+        infeasible &= np.sqrt(std.dots(res, res)) <= 1e-7 * dobj
     unbounded = pobj < -1e-8
     if unbounded.any():
-        unbounded &= pobj < -1e-8 * (1.0 + np.sqrt(_total(_dots(xb, xb) for xb in x)))
+        unbounded &= pobj < -1e-8 * (1.0 + np.sqrt(std.dots(x, x)))
         unbounded &= np.sqrt(_dots(ax, ax)) <= 1e-7 * -pobj
     return [
         "infeasible" if inf else "unbounded" if unb else None

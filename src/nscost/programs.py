@@ -49,6 +49,7 @@ from .conic import (
     dump_problem,
     solve,
     solve_many,
+    solver_options,
 )
 from .qmat import (
     QuantumChannel,
@@ -322,6 +323,11 @@ def min_error_noiseless(
     which is solved in that reduced form to keep the feasible set full
     dimensional.
     """
+    return _run(_noiseless_program(m, n, code), **solve_kw)
+
+
+def _noiseless_program(m: int, n: QuantumChannel, code: str) -> HermitianProgram:
+    """The program of :func:`min_error_noiseless`, unsolved."""
     if int(m) != m or m < 1:
         raise ValueError(f"noiseless channel size must be a positive integer, got {m}")
     m = int(m)
@@ -347,7 +353,7 @@ def min_error_noiseless(
             hp.add_lmi(one_vt + jt_tb)
     _add_diamond_ball(hp, jt - n.choi, da, db, gamma)
     hp.minimize(gamma)
-    return _run(hp, **solve_kw)
+    return hp
 
 
 @functools.lru_cache(maxsize=16)
@@ -442,13 +448,21 @@ def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResul
     an integer search: the smallest m in 1..dim_in whose NS-and-PPT
     simulation error is at most eps (plus a 1e-7 numerical allowance).
     m = dim_in always succeeds, because sending the input through id_m and
-    applying the channel afterwards is an error-free NS-and-PPT code.
+    applying the channel afterwards is an error-free NS-and-PPT code, so the
+    search solves m = 1..dim_in - 1 only and ends at dim_in without a solve.
+    The m = 1 program is the one dumped, also when it is not solved.
     """
     eps = _check_eps(eps)
+    dump_path = solve_kw.pop("dump_path", None)
+    if n.dim_in == 1:
+        solver_options(**solve_kw)  # no solve runs: check the options here
+        if dump_path is not None:
+            dump_problem(_noiseless_program(1, n, "NS_PPT").build(), dump_path)
     chosen = n.dim_in
-    for m in range(1, n.dim_in + 1):
-        err = min_error_noiseless(m, n, "NS_PPT", **solve_kw)
-        solve_kw.pop("dump_path", None)  # only the first program is dumped
+    for m in range(1, n.dim_in):
+        # Only the first program is dumped.
+        err = min_error_noiseless(m, n, "NS_PPT", dump_path=dump_path, **solve_kw)
+        dump_path = None
         if err <= eps + 1e-7:
             chosen = m
             break

@@ -371,6 +371,44 @@ def test_ppt_search_picks_one_for_constant_channel():
     assert res.cost_bits == 0.0
 
 
+@pytest.mark.parametrize(
+    "channel, calls, m_star",
+    [(depol(0.15), 1, 2), (depol(0.15, d=3), 2, 3)],
+    ids=["qubit", "qutrit"],
+)
+def test_ppt_search_never_solves_m_equal_to_dim_in(monkeypatch, channel, calls, m_star):
+    sizes = []
+
+    def counting(m, *args, **kw):
+        sizes.append(m)
+        return min_error_noiseless(m, *args, **kw)
+
+    monkeypatch.setattr(nscost.programs, "min_error_noiseless", counting)
+    res = one_shot_cost_ns_ppt(channel, 0.0)
+    assert len(sizes) == calls
+    assert sizes == list(range(1, calls + 1))
+    assert res.m_star == m_star
+
+
+def test_ppt_search_with_one_input_dimension_solves_nothing(tmp_path, monkeypatch):
+    def no_solve(*args, **kw):
+        raise AssertionError("no solve expected")
+
+    monkeypatch.setattr(nscost.programs, "min_error_noiseless", no_solve)
+    prep = QuantumChannel(1, 2, np.diag([0.7, 0.3]))
+    path = tmp_path / "problem.json"
+    res = one_shot_cost_ns_ppt(prep, 0.0, dump_path=str(path))
+    assert res.m_star == 1
+    # The m = 1 program is dumped unsolved, and the options are still checked.
+    assert [b.size for b in problem_from_json(json.loads(path.read_text())).blocks] == [
+        2, 1, 2, 2
+    ]
+    with pytest.raises(TypeError, match="bogus_tol"):
+        one_shot_cost_ns_ppt(prep, 0.0, bogus_tol=1e-9)
+    with pytest.raises(ValueError, match="gap_tol"):
+        one_shot_cost_ns_ppt(prep, 0.0, gap_tol=-1.0)
+
+
 def test_data_processing_reduces_cost():
     rng = np.random.default_rng(37)
     n = make_channel("dephasing", p=0.1)
