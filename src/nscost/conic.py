@@ -30,11 +30,25 @@ PSD blocks of one size n and dtype share one iterate array, their (batch,
 k, n, n) stack held as (batch * k, n, n), and every LP block shares one
 vector with a slack for each inequality row. The NT scaling, the corrector,
 the step lengths, the updates and the inner products run once per block
-group. The products with the constraint data (A x, A^T y, the Newton rhs
-and the Schur terms W A_i W) stay per block, on the stacks as they are, and
-the LP group's stacks are joined into one CSR. Sums over blocks add their
-terms in block order, the LP group as one term, so grouping changes no value
-of a problem without LP blocks.
+group. The products with the constraint data (A x, A^T y and the Newton
+rhs) stay per block, on the stacks as they are, and the LP group's stacks
+are joined into one CSR. Sums over blocks add their terms in block order,
+the LP group as one term, so grouping changes no value of a problem without
+LP blocks.
+
+Schur matrix. With W = R R^H on a PSD block, Re tr(A_i W A_j W) is the dot
+product of svec(R^H A_i R) and svec(R^H A_j R), so from _GRAM_MIN_ROWS rows
+on the PSD part of M = A W A^T is one Gram product G G^T per instance (BLAS
+syrk), each block filling G only on the rows that touch it (Fujisawa,
+Kojima & Nakata 1997; the svec form of SDPT3). Smaller problems, whose cost
+is the number of numpy calls, add one W A_i W term per block instead.
+
+Safeguard. When a step's iterate fails its Cholesky factorization (or an LP
+entry is not positive), that instance's step on the failing side shrinks by
+_BACKTRACK, at most _BACKTRACKS times, before SolverFailure is raised. The
+accepted factors serve the next NT scaling, so a run without such a failure
+takes the same steps as without the safeguard, with one more factorization:
+that of its last iterate.
 
 Batches. :func:`solve_many` solves a list of problems. It groups those
 whose blocks, senses and coefficient stacks (dtype and bytes) are equal
@@ -44,10 +58,11 @@ iteration does its block algebra once for the whole group. Each instance
 keeps its own mu, sigma, step lengths, certificate tests, status and
 iterate trace, and leaves the batch when it terminates. The m x m Schur
 factorizations and solves (LAPACK potrf/potrs, or a sparse LU on the
-pure-LP path) run one instance at a time, and the products with the
-constraint data are formed per instance, so an instance's arithmetic does
-not depend on the batch around it: solve_many gives bitwise the results of
-:func:`solve`, which is solve_many on a batch of one.
+pure-LP path) run one instance at a time, the products with the
+constraint data are formed per instance, and each instance shrinks its own
+steps, so an instance's arithmetic does not depend on the batch around it:
+solve_many gives bitwise the results of :func:`solve`, which is solve_many
+on a batch of one.
 
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
@@ -55,6 +70,7 @@ bitwise-identical iterate sequences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -83,6 +99,13 @@ __all__ = [
 ]
 
 _STEP_TO_BOUNDARY = 0.98
+# A step whose iterate fails its Cholesky factorization shrinks by this
+# factor, at most this many times.
+_BACKTRACK = 0.8
+_BACKTRACKS = 30
+# From this many rows on, the Schur matrix is assembled as a Gram product
+# (see _SchurSolver).
+_GRAM_MIN_ROWS = 60
 _BIG_STEP = 1e16
 # The LAPACK routines behind scipy's cho_factor and cho_solve, called without
 # their input checks.
@@ -332,16 +355,34 @@ class _BlockGroup:
     block and the slack of the "le" rows, one (total,) item per instance,
     with the CSR (m, total) of their stacks side by side, its transpose and
     its CSC. The batch * k rows are the (batch, k, n, n) stack of the blocks
-    flattened, so that each per-matrix step sees three axes."""
+    flattened, so that each per-matrix step sees three axes.
 
-    def __init__(self, members: list, stacks: list, m: int, le_rows=None):
+    Given the first column `col` of its blocks in the Schur Gram matrix, a
+    PSD group also keeps, per block, the rows whose coefficient on it is not
+    zero (`touched`: slice(None) when every row is), their coefficients (the
+    stack itself when every row touches it) and its columns `cols`; `end`
+    is the column past its last."""
+
+    def __init__(self, members: list, stacks: list, m: int, le_rows=None, col=None):
         self.members = members
         self.sdp = le_rows is None
+        self.end = col
         if self.sdp:
             self.stacks = stacks
             self.flats = [st.reshape(m, -1).view(float) for st in stacks]
             self.rows, self.item = len(stacks), stacks[0].shape[1:]
             self.dtype = stacks[0].dtype
+            if col is None:
+                return
+            self.svec = _svec(self.item[0], self.dtype.kind == "c")
+            self.touched, self.coeffs, self.cols = [], [], []
+            for stack, flat in zip(stacks, self.flats):
+                touched = flat.any(axis=1)
+                touched = slice(None) if touched.all() else np.flatnonzero(touched)
+                self.touched.append(touched)
+                self.coeffs.append(stack[touched])
+                self.cols.append(slice(self.end, self.end + len(self.svec[0])))
+                self.end += len(self.svec[0])
             return
         user = np.concatenate([np.zeros((m, 0)), *stacks], axis=1)
         rows, cols = np.nonzero(user)
@@ -354,6 +395,24 @@ class _BlockGroup:
         self.mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, *self.item))
         self.csc = self.mat.tocsc()
         self.mat_t = self.csc.T  # a CSR view of the CSC's arrays
+
+
+@functools.cache
+def _svec(n: int, is_complex: bool) -> tuple:
+    """Indices into the float64 view of a flattened n x n block and their
+    weights, so that Re tr(A B) = (a[idx] * w) @ (b[idx] * w) for Hermitian
+    A and B: the diagonal (its real part) with weight 1 and the strict upper
+    triangle (real and imaginary parts) with weight sqrt 2. That is
+    n(n+1)/2 entries on a real block and n^2 on a complex one."""
+    i, j = np.triu_indices(n)
+    idx, weight = i * n + j, np.where(i == j, 1.0, math.sqrt(2.0))
+    if is_complex:
+        keep = np.stack((np.ones(len(idx), dtype=bool), i != j), axis=1).ravel()
+        idx = np.stack((2 * idx, 2 * idx + 1), axis=1).ravel()[keep]
+        weight = np.repeat(weight, 2)[keep]
+    idx.setflags(write=False)  # cached: shared by every caller
+    weight.setflags(write=False)
+    return idx, weight
 
 
 class _Standardized:
@@ -377,11 +436,17 @@ class _Standardized:
         le_rows = np.flatnonzero(first._le)
         if len(le_rows):
             keys.setdefault((False, 0, np.dtype(float)), [])
-        self.groups = [
-            _BlockGroup(bis, [stacks[bi] for bi in bis], m, None if sdp else le_rows)
-            for (sdp, _, _), bis in keys.items()
-        ]
-        self.pure_lp = not any(g.sdp for g in self.groups)
+        self.pure_lp = not any(sdp for sdp, _, _ in keys)
+        # The Schur Gram matrix of each instance (see _SchurSolver), from
+        # _GRAM_MIN_ROWS rows on; rows that do not touch a block stay 0 in
+        # its columns.
+        gram = not self.pure_lp and m >= _GRAM_MIN_ROWS
+        self.groups, col = [], 0 if gram else None
+        for (sdp, _, _), bis in keys.items():
+            g = _BlockGroup(bis, [stacks[bi] for bi in bis], m, None if sdp else le_rows, col)
+            self.groups.append(g)
+            col = g.end
+        self.gram = np.zeros((len(problems), m, col)) if gram else None
         self.nu = sum(b.size for b in first.blocks) + len(le_rows)
         # Where each block sits in an instance's rows of its group's array:
         # (group, row, index in the row). The terms of a sum over blocks, in
@@ -521,9 +586,15 @@ class _NTScaling:
 
     On a PSD block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
     G[gi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
+    `factors` are the iterate's Cholesky factors from :func:`_cholesky`,
+    computed here when not given.
     """
 
-    def __init__(self, std: _Standardized, x: list, s: list):
+    def __init__(self, std: _Standardized, x: list, s: list, factors: dict | None = None):
+        if factors is None:
+            factors, outside = _cholesky(std, x, s)
+            if outside is not None:
+                raise SolverFailure("iterate left the cone (Cholesky breakdown)")
         self.R: dict[int, np.ndarray] = {}
         self.Rinv: dict[int, np.ndarray] = {}
         self.W: dict[int, np.ndarray] = {}
@@ -532,13 +603,7 @@ class _NTScaling:
         self.w2: dict[int, np.ndarray] = {}
         for gi, g in enumerate(std.groups):
             if g.sdp:
-                try:
-                    factors = np.linalg.cholesky(np.concatenate((x[gi], s[gi])))
-                except np.linalg.LinAlgError as exc:
-                    raise SolverFailure(
-                        "iterate left the PSD cone (Cholesky breakdown)"
-                    ) from exc
-                lx, ls = factors.reshape(2, *x[gi].shape)
+                lx, ls = factors[gi]
                 u, sig, vt = np.linalg.svd(_h(ls) @ lx)
                 if sig[:, -1].min() <= 0.0:
                     raise SolverFailure("NT scaling breakdown: singular iterate")
@@ -552,10 +617,43 @@ class _NTScaling:
                 pair = np.concatenate((rinv[:, None], _h(r)[:, None]), axis=1)
                 self.G[gi] = pair * inv_sqrt[:, None, :, None]
             else:
-                if x[gi].min() <= 0.0 or s[gi].min() <= 0.0:
-                    raise SolverFailure("iterate left the nonnegative cone")
                 self.w2[gi] = x[gi] / s[gi]
                 self.lam[gi] = np.sqrt(x[gi] * s[gi])
+
+
+def _cholesky(std: _Standardized, x: list, s: list) -> tuple:
+    """Per PSD group, the lower Cholesky factors of an iterate's X and S
+    blocks, as one (2, batch * k, n, n) array; and None when the iterate
+    is inside the cone, or else per instance and side (primal, dual)
+    whether it is outside: some block's Cholesky factorization fails, or
+    some LP entry is <= 0."""
+    factors = {}
+    try:
+        for gi, g in enumerate(std.groups):
+            if g.sdp:
+                pair = np.concatenate((x[gi], s[gi]))
+                factors[gi] = np.linalg.cholesky(pair).reshape(2, *x[gi].shape)
+            elif x[gi].min() <= 0.0 or s[gi].min() <= 0.0:
+                raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        # Only on failure: find the instances and sides that fail.
+        outside = np.zeros((len(x[0]) // std.groups[0].rows, 2), dtype=bool)
+        for gi, g in enumerate(std.groups):
+            if g.sdp:
+                failed = [not _positive_definite(a) for a in np.concatenate((x[gi], s[gi]))]
+                outside |= np.reshape(failed, (2, -1, g.rows)).any(axis=2).T
+            else:
+                outside |= np.stack(((x[gi] <= 0.0).any(axis=1), (s[gi] <= 0.0).any(axis=1)), 1)
+        return factors, outside
+    return factors, None
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 class _SchurSolver:
@@ -564,8 +662,17 @@ class _SchurSolver:
 
     A pure LP factorizes each instance's sparse A diag(w2) A^T with a sparse
     LU. Any PSD block gives a dense M, assembled for all instances as one
-    stack, a term per block; those, and any M whose LU fails, take a
-    jittered Cholesky factor.
+    stack. With W = R R^H on a PSD block, Re tr(A_i W A_j W) =
+    <svec(R^H A_i R), svec(R^H A_j R)> (see :func:`_svec`), so the PSD part
+    of M is G G^T, where G (m, sum of svec widths) holds those svecs side by
+    side, block by block: one product per instance, which numpy runs as BLAS
+    syrk, exactly symmetric. A block fills only its rows of G that touch it;
+    the others stay 0 in `_Standardized.gram`. Problems with fewer than
+    _GRAM_MIN_ROWS rows, whose cost is the number of numpy calls rather than
+    the arithmetic, instead add a term (A_i . W A_j W) per PSD block. Any LP
+    term A diag(w2) A^T is added, in block order, and a sum of terms is
+    symmetrized. Those M, and any M whose LU fails, take a jittered Cholesky
+    factor.
     """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
@@ -575,22 +682,42 @@ class _SchurSolver:
                 _sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in nt.w2[0]
             ]
             return
-        mat = None
+        mat = None if std.gram is None else self._gram(std, nt)
+        symmetric = mat is not None
         for gi, j in std.terms:
             g = std.groups[gi]
-            if g.sdp:
+            if g.sdp and std.gram is None:
                 w = nt.W[gi][j :: g.rows, None]
                 waw = np.matmul(w, np.matmul(g.stacks[j], w))
                 flat = waw.reshape(len(waw), std.m, -1).view(float)
                 term = np.matmul(g.flats[j], flat.swapaxes(1, 2))
-            elif g.mat.nnz:
+            elif not g.sdp and g.mat.nnz:
                 a = g.mat
                 term = np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[gi]])
             else:
                 continue
             mat = term if mat is None else mat + term
-        mat = (mat + mat.swapaxes(1, 2)) / 2.0
+            symmetric = False
+        if not symmetric:
+            mat = (mat + mat.swapaxes(1, 2)) / 2.0
         self._systems = [(mk, _dense_solver(mk)) for mk in mat]
+
+    @staticmethod
+    def _gram(std: _Standardized, nt: _NTScaling) -> np.ndarray:
+        """G G^T per instance, for the PSD blocks."""
+        gram = std.gram[: len(nt.lam[0]) // std.groups[0].rows]
+        for gi, g in enumerate(std.groups):
+            if not g.sdp:
+                continue
+            idx, weight = g.svec
+            for j, (touched, coeffs, cols) in enumerate(zip(g.touched, g.coeffs, g.cols)):
+                r = nt.R[gi][j :: g.rows]
+                # One instance: 3-D products, with no batch axis to broadcast.
+                r = r[0] if len(r) == 1 else r[:, None]
+                rar = _h(r) @ (coeffs @ r)
+                flat = rar.reshape(*rar.shape[:-2], -1).view(float)
+                gram[:, touched, cols] = flat[..., idx] * weight
+        return gram @ gram.swapaxes(1, 2)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         y = np.empty_like(rhs)
@@ -644,6 +771,7 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
         x.append(_bc(rho_p, unit) * unit)
         s.append(_bc(rho_d, unit) * unit)
     y = np.zeros((len(problems), std.m))
+    factors = None  # of the iterate, once a step has made it
     # Per-instance data of the instances still running; `active` holds
     # their indices in `problems`.
     b, c = std.b, std.objective
@@ -689,11 +817,13 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
             keep = np.ones(len(active), dtype=bool)
             keep[finished] = False
             x, s, rd, c = ([a[_per_row(keep, a)] for a in arrays] for arrays in (x, s, rd, c))
+            if factors is not None:
+                factors = {gi: f[:, _per_row(keep, f[0])] for gi, f in factors.items()}
             y, b, rp, mu, scale_b, scale_c, active = (
                 a[keep] for a in (y, b, rp, mu, scale_b, scale_c, active)
             )
 
-        nt = _NTScaling(std, x, s)
+        nt = _NTScaling(std, x, s, factors)
         schur = _SchurSolver(std, nt)
 
         # Predictor: target complementarity 0.
@@ -726,14 +856,32 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
         dy, dx, ds = _newton_step(std, nt, schur, rp, rd, rc_cor)
 
         steps = _STEP_TO_BOUNDARY * _max_steps(std, nt, x, s, dx, ds)
-        ap, ad = np.minimum(steps, 1.0).T
-        for gi, g in enumerate(std.groups):
-            x[gi] = x[gi] + _bc(ap, x[gi]) * dx[gi]
-            s[gi] = s[gi] + _bc(ad, s[gi]) * ds[gi]
-            if g.sdp:
-                x[gi], s[gi] = _sym(x[gi]), _sym(s[gi])
-        y = y + ad[:, None] * dy
+        x, s, y, factors = _step(std, x, s, y, dx, ds, dy, np.minimum(steps, 1.0))
     return out
+
+
+def _step(std, x, s, y, dx, ds, dy, steps) -> tuple:
+    """The next iterate of each instance, (x + ap dx, s + ad ds, y + ad dy)
+    with (ap, ad) its row of `steps`, and its Cholesky factors.
+
+    When an instance's next X (or S) fails its Cholesky factorization, its
+    ap (or ad) shrinks by _BACKTRACK, at most _BACKTRACKS times before
+    SolverFailure is raised. The other instances keep their steps, so each
+    instance's iterate does not depend on the batch it runs in.
+    """
+    for _ in range(_BACKTRACKS + 1):
+        ap, ad = steps.T
+        xn, sn = [], []
+        for gi, g in enumerate(std.groups):
+            xg = x[gi] + _bc(ap, x[gi]) * dx[gi]
+            sg = s[gi] + _bc(ad, s[gi]) * ds[gi]
+            xn.append(_sym(xg) if g.sdp else xg)
+            sn.append(_sym(sg) if g.sdp else sg)
+        factors, outside = _cholesky(std, xn, sn)
+        if outside is None:
+            return xn, sn, y + ad[:, None] * dy, factors
+        steps = np.where(outside, _BACKTRACK * steps, steps)
+    raise SolverFailure("iterate left the cone (Cholesky breakdown)")
 
 
 def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolution:

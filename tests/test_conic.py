@@ -891,6 +891,134 @@ class TestBlockGroups:
             assert_bitwise_equal(sol, solve(problem))
 
 
+def psd_power(a, p):
+    lam, v = np.linalg.eigh(a)
+    return (v * lam**p) @ v.conj().T
+
+
+def nt_point(x, s):
+    """The Nesterov-Todd point W of PD X and S, with W S W = X."""
+    root = psd_power(x, 0.5)
+    return root @ psd_power(root @ s @ root, -0.5) @ root
+
+
+class TestSchurAssembly:
+    """The Schur matrix, as a Gram product of svecs (from _GRAM_MIN_ROWS
+    rows on) or as a sum of dense W A_i W terms, against its definition."""
+
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "dense"])
+    def test_schur_matrix_is_its_definition(self, monkeypatch, gram):
+        monkeypatch.setattr(conic, "_GRAM_MIN_ROWS", 0 if gram else 10**9)
+        problem = grouped_batch(1)[0]
+        std = conic._Standardized([problem])
+        assert (std.gram is not None) == gram
+        if gram:  # some PSD block is not touched by every row
+            assert any(
+                not isinstance(t, slice) for g in std.groups if g.sdp for t in g.touched
+            )
+        rng = np.random.default_rng(99)
+
+        def interior(kind, n, is_complex):
+            if kind == "lp":
+                return rng.uniform(0.5, 1.5, n)
+            g = rng.standard_normal((n, n))
+            if is_complex:
+                g = g + 1j * rng.standard_normal((n, n))
+            return g @ g.conj().T / n + 0.5 * np.eye(n)
+
+        x = [interior(*b) for b in _GROUPED_BLOCKS]
+        s = [interior(*b) for b in _GROUPED_BLOCKS]
+        le = np.flatnonzero(problem._le)
+        x_slack, s_slack = rng.uniform(0.5, 1.5, len(le)), rng.uniform(0.5, 1.5, len(le))
+        xg, sg = std.grouped([[a] for a in x]), std.grouped([[a] for a in s])
+        lp = std.groups[1]
+        assert not lp.sdp
+        xg[1][0, -len(le):], sg[1][0, -len(le):] = x_slack, s_slack
+        nt = conic._NTScaling(std, xg, sg)
+        got = conic._SchurSolver(std, nt)._systems[0][0]
+
+        m = len(problem.constraints)
+        want = np.zeros((m, m))
+        for bi, (kind, n, _) in enumerate(_GROUPED_BLOCKS):
+            zero = np.zeros((n, n) if kind == "sdp" else n)
+            a = np.array([zero if c.coeffs[bi] is None else c.coeffs[bi]
+                          for c in problem.constraints])
+            if kind == "sdp":
+                aw = a @ nt_point(x[bi], s[bi])
+                want += np.einsum("iab,jba->ij", aw, aw).real
+            else:
+                want += (a * (x[bi] / s[bi])) @ a.T
+        want[le, le] += x_slack / s_slack
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got.T)
+
+    def test_batch_is_bitwise_its_solves(self, monkeypatch):
+        monkeypatch.setattr(conic, "_GRAM_MIN_ROWS", 0)
+        batch = grouped_batch(4)
+        std = conic._Standardized(batch)
+        assert std.gram is not None
+        assert any(not isinstance(t, slice) for g in std.groups if g.sdp for t in g.touched)
+        sols = solve_many(batch)
+        assert all(sol.status == "optimal" for sol in sols)
+        for problem, sol in zip(batch, sols):
+            assert_bitwise_equal(sol, solve(problem))
+
+
+class TestBacktracking:
+    """A step whose iterate fails its Cholesky factorization shrinks."""
+
+    @staticmethod
+    def batch_of_two():
+        problem = ConicProblem(
+            blocks=(Block("sdp", 2),),
+            objective=(np.eye(2),),
+            constraints=(Constraint((np.eye(2),), 2.0),),
+        )
+        std = conic._Standardized([problem, problem])
+        eye = np.eye(2)
+        x, s = std.grouped([[eye, eye]]), std.grouped([[eye, eye]])
+        y = np.zeros((2, 1))
+        return std, x, s, y
+
+    def test_only_the_failing_instance_shrinks_its_step(self):
+        std, x, s, y = self.batch_of_two()
+        # A full step takes instance 0's X to -I and instance 1's to I/2.
+        dx = std.grouped([[-2.0 * np.eye(2), -0.5 * np.eye(2)]])
+        ds = std.grouped([[np.zeros((2, 2)), np.zeros((2, 2))]])
+        dy = np.ones((2, 1))
+        xn, sn, yn, factors = conic._step(std, x, s, y, dx, ds, dy, np.ones((2, 2)))
+        # Instance 0 takes 0.8^4 of its step, the first that keeps X PD.
+        shrunk = 1.0
+        for _ in range(4):
+            shrunk *= conic._BACKTRACK
+        assert np.array_equal(xn[0][0], np.eye(2) + shrunk * (-2.0 * np.eye(2)))
+        assert np.array_equal(xn[0][1], 0.5 * np.eye(2))
+        assert np.array_equal(sn[0], s[0])
+        assert np.array_equal(yn, y + dy)
+        lx, ls = factors[0]
+        assert np.array_equal(lx, np.linalg.cholesky(xn[0]))
+        assert np.array_equal(ls, np.linalg.cholesky(sn[0]))
+
+    def test_bounded_number_of_shrinks(self):
+        std, x, s, y = self.batch_of_two()
+        ds = std.grouped([[-1e12 * np.eye(2), np.zeros((2, 2))]])
+        dx = std.grouped([[np.zeros((2, 2)), np.zeros((2, 2))]])
+        with pytest.raises(SolverFailure, match="left the cone"):
+            conic._step(std, x, s, y, dx, ds, np.zeros((2, 1)), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1 - 1e-15, 1 - 1e-14, 1 - 5e-14])
+    def test_perturbed_step_solves_criterion_9_problem_21(self, monkeypatch, scale):
+        # The jammed problem 21 of tests/test_acceptance.py's criterion 9
+        # (seed 31337, gap_tol 1e-9): without backtracking, a step shortened
+        # by 1e-14 or 5e-14 relative broke down on a failed Cholesky.
+        monkeypatch.setattr(conic, "_STEP_TO_BOUNDARY", 0.98 * scale)
+        rng = np.random.default_rng(31337)
+        problem = [random_problem(rng) for _ in range(22)][21]
+        sol = solve(problem, gap_tol=1e-9, feas_tol=1e-9, max_iter=200)
+        assert sol.status == "optimal"
+        assert sol.gap <= 1e-8
+
+
 class TestJson:
     def test_round_trip(self):
         rng = np.random.default_rng(31415)
