@@ -62,6 +62,7 @@ from nscost.symmetry import (
     depolarizing_cost_lp,
     depolarizing_mutual_info,
     depolarizing_reduction,
+    depolarizing_sweep,
 )
 
 __version__ = "0.1.0"

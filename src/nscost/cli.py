@@ -45,8 +45,9 @@ from .programs import (
 from .qmat import QuantumChannel, make_channel
 from .symmetry import (
     classical_cost_lp,
-    depolarizing_cost_lp,
+    depolarizing_cost_lp,  # unused here; perfbench/tracing.py patches this name
     depolarizing_mutual_info,
+    depolarizing_sweep,
 )
 
 _FIG2_EPS = (5e-4, 5e-3, 5e-2)
@@ -225,25 +226,23 @@ _DEPOL_HEADER = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_us
 
 
 def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
-    # Each point is a closed-form waterfilling that takes well under a
-    # millisecond, so the rows are computed in process: a worker pool would
-    # cost more to start than it saves.
+    # One sweep waterfills every tolerance of a blocklength from one sector
+    # table; figure2's 900 points to n = 300 take tens of milliseconds, so
+    # the rows are computed in process: a worker pool would cost more to
+    # start than it saves.
     qe = _fmt(depolarizing_mutual_info(d, p) / 2.0)
-    rows = []
-    for n in range(1, n_max + 1):
-        for eps in eps_values:
-            res = depolarizing_cost_lp(n, d, p, eps)
-            rows.append(
-                (
-                    n,
-                    repr(eps),
-                    _fmt(res.cost_bits),
-                    _fmt(res.cost_bits / n),
-                    _fmt(res.half_log_trv / n),
-                    qe,
-                )
-            )
-    return rows
+    return [
+        (
+            n,
+            repr(eps),
+            _fmt(res.cost_bits),
+            _fmt(res.cost_bits / n),
+            _fmt(res.half_log_trv / n),
+            qe,
+        )
+        for n, costs in enumerate(depolarizing_sweep(n_max, d, p, eps_values), 1)
+        for eps, res in zip(eps_values, costs)
+    ]
 
 
 def _figure3_rows(task) -> list[tuple]:

@@ -13,6 +13,13 @@ waterfilling solves exactly. Everything here is assembled in the log domain:
 the weights and spectra span thousands of orders of magnitude long before n
 reaches 300, and the optimal level s itself can lie far below the range of
 double precision even though d^n s stays moderate.
+
+One core prices a whole sweep: `depolarizing_sweep` takes the log-factorials
+once, builds each blocklength's sector table once (weights, spectrum, and the
+head masses and weights of the waterfilling) and waterfills every tolerance
+from it. `depolarizing_cost_lp` and `depolarizing_reduction` are that core
+run on one blocklength. The sector masses are checked to sum to 1 by a
+max-shifted sum in numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conic import HermitianProgram, SolverFailure, dump_problem, solve, solver_options
 from .programs import CostResult, _check_eps, cost_result_from_trv
@@ -55,15 +61,21 @@ def depolarizing_reduction(n: int, d: int, p: float) -> LPReduction:
     probability q1/d, which is checked to sum to 1 within 1e-9.
     """
     n, d, p = _check_dp_args(n, d, p)
+    return _reduction(n, d, p, _log_factorials(n))
+
+
+def _log_factorials(n_max: int) -> np.ndarray:
+    return np.array([math.lgamma(j + 1) for j in range(n_max + 1)])
+
+
+def _reduction(n: int, d: int, p: float, lgam: np.ndarray) -> LPReduction:
+    """`depolarizing_reduction` from the log-factorials lgam[j] = log j!,
+    j = 0..n or beyond."""
     q1 = d * (1.0 - p) + p / d
     q2 = p / d
     k = np.arange(n + 1, dtype=float)
-    log_binom = np.array(
-        [
-            math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
-            for j in range(n + 1)
-        ]
-    )
+    lg = lgam[: n + 1]
+    log_binom = lgam[n] - lg - lg[::-1]
     log_weights = log_binom - k * math.log(d) + (n - k) * math.log(d - 1.0 / d)
     log_q1 = math.log(q1) if q1 > 0.0 else -math.inf
     log_q2 = math.log(q2) if q2 > 0.0 else -math.inf
@@ -74,7 +86,9 @@ def depolarizing_reduction(n: int, d: int, p: float) -> LPReduction:
     if q2 == 0.0:
         log_spectrum[:n] = -math.inf
         log_spectrum[n] = n * log_q1
-    total = logsumexp(log_weights + log_spectrum)
+    log_mass = log_weights + log_spectrum
+    top = log_mass.max()
+    total = top + math.log(np.exp(log_mass - top).sum())
     if abs(total) > _NORMALIZATION_TOL:
         raise ValueError(f"sector masses sum to exp({total}), expected 1")
     return LPReduction(n=n, d=d, log_weights=log_weights, log_spectrum=log_spectrum)
@@ -124,7 +138,34 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     """
     n, d, p = _check_dp_args(n, d, p)
     eps = _check_eps(eps)
-    red = depolarizing_reduction(n, d, p)
+    return _waterfill(n, d, p, _log_factorials(n), (eps,))[0]
+
+
+def depolarizing_sweep(
+    n_max: int, d: int, p: float, eps_values
+) -> list[tuple[CostResult, ...]]:
+    """`depolarizing_cost_lp` at n = 1..n_max and every tolerance.
+
+    Entry n - 1 holds one CostResult per entry of eps_values, each equal to
+    `depolarizing_cost_lp(n, d, p, eps)`. Every tolerance of a blocklength is
+    waterfilled from one sector table.
+
+    Raises:
+        ValueError: on invalid arguments, or at the first blocklength whose
+            log2 tr V would exceed the range of double precision.
+    """
+    n_max, d, p = _check_dp_args(n_max, d, p)
+    eps_values = tuple(_check_eps(eps) for eps in eps_values)
+    lgam = _log_factorials(n_max)
+    return [_waterfill(n, d, p, lgam, eps_values) for n in range(1, n_max + 1)]
+
+
+def _waterfill(
+    n: int, d: int, p: float, lgam: np.ndarray, eps_values: tuple
+) -> tuple[CostResult, ...]:
+    """The costs of n uses at each tolerance, as `depolarizing_cost_lp`
+    documents, from the log-factorials lgam[j] = log j!, j = 0..n or beyond."""
+    red = _reduction(n, d, p, lgam)
     q1 = d * (1.0 - p) + p / d
     log2_cap = n * (math.log2(d) + math.log2(q1))
     if log2_cap > _MAX_LOG2_TRV:
@@ -132,21 +173,24 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
             f"log2 tr V can reach {log2_cap:.1f} bits at these parameters, "
             "beyond double-precision range"
         )
-    if eps == 0.0:
-        return cost_result_from_trv(2.0**log2_cap, log2_trv=log2_cap)
 
     # Index i below is the head k = n - i..n.
     head_mass = np.cumsum(np.exp(red.log_weights + red.log_spectrum)[::-1])
     log_head_weight = np.logaddexp.accumulate(red.log_weights[::-1])
     log_next_level = np.append(red.log_spectrum[::-1][1:], -math.inf)
     clipped = head_mass - np.exp(log_next_level + log_head_weight)
-    log_s = -n * math.log(d)
-    over = np.flatnonzero(clipped > eps)
-    if over.size:
-        i = over[0]
-        log_s = max(log_s, math.log(head_mass[i] - eps) - log_head_weight[i])
-    log2_trv = n * math.log2(d) + log_s / math.log(2.0)
-    return cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv)
+    costs = []
+    for eps in eps_values:
+        log2_trv = log2_cap
+        if eps > 0.0:
+            log_s = -n * math.log(d)
+            over = np.flatnonzero(clipped > eps)
+            if over.size:
+                i = over[0]
+                log_s = max(log_s, math.log(head_mass[i] - eps) - log_head_weight[i])
+            log2_trv = n * math.log2(d) + log_s / math.log(2.0)
+        costs.append(cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv))
+    return tuple(costs)
 
 
 def classical_cost_lp(

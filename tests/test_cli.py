@@ -294,7 +294,10 @@ def test_figure2_failure_leaves_no_file(tmp_path, capsys):
     # for n < 270 are computed; none of them may reach the file.
     code = run(["figure2", "--d", "4", "--n-max", "300", "--out", str(out)])
     assert code == 2
-    assert "beyond double-precision range" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: log2 tr V can reach 1021.0 bits at these parameters, "
+        "beyond double-precision range\n"
+    )
     assert not out.exists()
     missing_dir = tmp_path / "no" / "such" / "dir" / "f.csv"
     assert run(["figure2", "--n-max", "1", "--out", str(missing_dir)]) == 2
@@ -352,6 +355,33 @@ def test_depol_scan_matches_lp(tmp_path, capsys):
     for row in rows:
         res = depolarizing_cost_lp(int(row[0]), 2, 0.15, 0.05)
         assert abs(float(row[2]) - res.cost_bits) <= 1e-6
+
+
+def test_depol_scan_endpoints(tmp_path, capsys):
+    # p = 1 forgets the input: tr V = 1 and nothing is sent. p = 0 leaves
+    # n identity channels, whose eps-cost is d^(2n) (1 - eps).
+    for d in (2, 3):
+        for p in ("0", "1"):
+            out = tmp_path / f"scan{d}{p}.csv"
+            assert run(["depol-scan", "--d", str(d), "--p", p, "--eps", "0.01",
+                        "--n-max", "40", "--out", str(out)]) == 0
+            capsys.readouterr()
+            _, rows = _read_csv(out)
+            assert [int(row[0]) for row in rows] == list(range(1, 41))
+            for row in rows:
+                n = int(row[0])
+                assert row[1] == "0.01"
+                res = depolarizing_cost_lp(n, d, float(p), 0.01)
+                assert row[2:5] == [f"{res.cost_bits:.6f}",
+                                    f"{res.cost_bits / n:.6f}",
+                                    f"{res.half_log_trv / n:.6f}"]
+                if p == "1":
+                    assert row[2] == row[3] == row[5] == "0.000000"
+                    assert abs(float(row[4])) <= 1e-6
+                else:
+                    unceiled = math.log2(d) + math.log2(0.99) / (2 * n)
+                    assert abs(float(row[4]) - unceiled) <= 1e-6, (d, n)
+                    assert abs(float(row[5]) - math.log2(d)) <= 1e-6
 
 
 def test_dump_problem_writes_valid_json(tmp_path, capsys):

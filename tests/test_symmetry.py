@@ -14,6 +14,7 @@ from nscost.symmetry import (
     depolarizing_cost_lp,
     depolarizing_mutual_info,
     depolarizing_reduction,
+    depolarizing_sweep,
 )
 
 from oracles import classical_cost_linprog, waterfill_log2_trv
@@ -170,6 +171,55 @@ def test_cost_lp_validates_arguments():
         depolarizing_cost_lp(3, 2, 0.1, -0.2)
     with pytest.raises(ValueError):
         depolarizing_cost_lp(3, 2, 1.01, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Depolarizing sweep
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sweep_is_the_per_point_lp_bitwise(d):
+    # p = 0 runs the q2 = 0 branch and p = 1 has q1 = q2; eps = 0 takes the
+    # cap and eps = 1 the lowest level d^-n.
+    eps_values = (0.0, 5e-4, 0.05, 0.3, 1.0)
+    for p in (0.0, 0.15, 0.5, 1.0):
+        rows = depolarizing_sweep(60, d, p, eps_values)
+        assert len(rows) == 60
+        for n, costs in enumerate(rows, 1):
+            assert len(costs) == len(eps_values)
+            for eps, got in zip(eps_values, costs):
+                want = depolarizing_cost_lp(n, d, p, eps)
+                for field in ("tr_v_opt", "half_log_trv", "cost_bits", "delta"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert float(a).hex() == float(b).hex(), (n, p, eps, field)
+                assert got.m_star == want.m_star, (n, p, eps)
+
+
+def test_figure2_sweep_matches_waterfilling_oracle():
+    # The oracle sums in another order, so the two agree to rounding: at
+    # most 4e-11 bits here, 1.0e-13 of log2 tr V.
+    eps_values = (5e-4, 5e-3, 5e-2)
+    rows = depolarizing_sweep(300, 2, 0.15, eps_values)
+    for n, costs in enumerate(rows, 1):
+        for eps, res in zip(eps_values, costs):
+            want = waterfill_log2_trv(n, 2, 0.15, eps)
+            assert abs(2 * res.half_log_trv - want) <= 1e-12 * max(1.0, want), (n, eps)
+
+
+def test_sweep_overflows_at_the_first_blocklength_past_the_range():
+    eps_values = (5e-4, 5e-3, 5e-2)
+    assert len(depolarizing_sweep(269, 4, 0.15, eps_values)) == 269
+    with pytest.raises(ValueError, match=r"can reach 1021\.0 bits"):
+        depolarizing_sweep(300, 4, 0.15, eps_values)
+    with pytest.raises(ValueError, match=r"can reach 1021\.0 bits"):
+        depolarizing_cost_lp(270, 4, 0.15, 0.05)
+
+
+def test_sweep_validates_arguments():
+    for args in ((0, 2, 0.1, (0.1,)), (3, 1, 0.1, (0.1,)), (3, 2, 1.2, (0.1,)),
+                 (3, 2, 0.1, (0.1, -0.2)), (3, 2, 0.1, (1.5,))):
+        with pytest.raises(ValueError):
+            depolarizing_sweep(*args)
 
 
 # ---------------------------------------------------------------------------
