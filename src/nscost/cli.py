@@ -33,6 +33,7 @@ from .analytic import certificate, closed_form_cost
 from .conic import SolverFailure
 from .programs import (
     CostResult,
+    _normalize_code,
     diamond_norm_dist,
     max_information,
     one_shot_cost_ns,
@@ -70,9 +71,6 @@ def _validate(args: argparse.Namespace) -> None:
             if args.eps_list
             else _FIG2_EPS
         )
-    for value in (getattr(args, "eps", None), *getattr(args, "eps_list", ())):
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise ValueError(f"error tolerance must lie in [0, 1], got {value}")
     if "n_max" in args and args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     if "grid" in args and args.grid < 2:
@@ -151,14 +149,9 @@ def _cost_line(res: CostResult) -> str:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     channel = _make_named_channel(args.family, args.d, args.p, args.r)
-    code = args.code.strip().lower().replace("-", "_")
-    if code == "ns":
-        res = one_shot_cost_ns(channel, args.eps, **_solver_kw(args))
-    elif code == "ns_ppt":
-        res = one_shot_cost_ns_ppt(channel, args.eps, **_solver_kw(args))
-    else:
-        raise ValueError(f"unknown code class {args.code!r}, expected ns or ns-ppt")
-    print(_cost_line(res))
+    # Read from this module's names at each call: perfbench's tracer wraps them.
+    cost = one_shot_cost_ns if _normalize_code(args.code) == "NS" else one_shot_cost_ns_ppt
+    print(_cost_line(cost(channel, args.eps, **_solver_kw(args))))
     return 0
 
 

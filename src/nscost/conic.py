@@ -28,20 +28,21 @@ coefficients once, into one read-only (m, n, n) or (m, n) stack in the
 block's dtype. The solver groups the blocks by kind, size and dtype: the k
 PSD blocks of one size n and dtype share one iterate array, their (batch,
 k, n, n) stack held as (batch * k, n, n), and every LP block shares one
-vector with a slack for each inequality row. The NT scaling, the corrector,
-the step lengths, the updates and the inner products run once per block
-group. The products with the constraint data (A x, A^T y and the Newton
-rhs) stay per block, on the stacks as they are, and the LP group's stacks
-are joined into one CSR. Sums over blocks add their terms in block order,
-the LP group as one term, so grouping changes no value of a problem without
-LP blocks.
+vector with a slack for each inequality row. The block group is the unit
+of all work: the NT scaling, the corrector, the step lengths and the
+updates run once per group, and so do the products with the constraint
+data (A x, A^T y, the Newton rhs) and the inner products, each over the
+group's coefficients side by side, (m, k, n, n) on a PSD group and one CSR
+on the LP group. Sums over groups add their terms in group order, the
+order in which each group's first block appears: block order, when each
+PSD group holds one block.
 
 Schur matrix. With W = R R^H on a PSD block, Re tr(A_i W A_j W) is the dot
 product of svec(R^H A_i R) and svec(R^H A_j R), so from _GRAM_MIN_ROWS rows
 on the PSD part of M = A W A^T is one Gram product G G^T per instance (BLAS
 syrk), each block filling G only on the rows that touch it (Fujisawa,
 Kojima & Nakata 1997; the svec form of SDPT3). Smaller problems, whose cost
-is the number of numpy calls, add one W A_i W term per block instead.
+is the number of numpy calls, add one W A_i W term per group instead.
 
 Safeguard. When a step's iterate fails its Cholesky factorization (or an LP
 entry is not positive), that instance's step on the failing side shrinks by
@@ -71,7 +72,6 @@ bitwise-identical iterate sequences.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -351,38 +351,38 @@ def _groups(problems: list) -> list:
 class _BlockGroup:
     """Blocks whose iterates share one array of `rows` items per instance:
     the k PSD blocks of one size n and dtype, (batch * k, n, n), with their
-    stacks and the float64 views of those, (m, n*n or 2*n*n); or every LP
-    block and the slack of the "le" rows, one (total,) item per instance,
-    with the CSR (m, total) of their stacks side by side, its transpose and
-    its CSC. The batch * k rows are the (batch, k, n, n) stack of the blocks
-    flattened, so that each per-matrix step sees three axes.
+    stacks side by side, `stack` (m, k, n, n), and its float64 view `flat`
+    (m, k*n*n, or 2*k*n*n on complex blocks); or every LP block and the
+    slack of the "le" rows, one (total,) item per instance, with the CSR
+    (m, total) of their stacks side by side, its transpose and its CSC. The
+    batch * k rows are the (batch, k, n, n) stack of the blocks flattened,
+    so that each per-matrix step sees three axes, and an instance's rows
+    viewed as one vector line up with `flat`.
 
     Given the first column `col` of its blocks in the Schur Gram matrix, a
     PSD group also keeps, per block, the rows whose coefficient on it is not
-    zero (`touched`: slice(None) when every row is), their coefficients (the
-    stack itself when every row touches it) and its columns `cols`; `end`
-    is the column past its last."""
+    zero (`touched`: slice(None) when every row is), their coefficients and
+    its columns `cols`; `end` is the column past its last."""
 
     def __init__(self, members: list, stacks: list, m: int, le_rows=None, col=None):
         self.members = members
         self.sdp = le_rows is None
         self.end = col
         if self.sdp:
-            self.stacks = stacks
-            self.flats = [st.reshape(m, -1).view(float) for st in stacks]
+            # One block's stack is used as it is, not copied.
+            self.stack = stacks[0][:, None] if len(stacks) == 1 else np.stack(stacks, 1)
+            self.flat = self.stack.reshape(m, -1).view(float)
             self.rows, self.item = len(stacks), stacks[0].shape[1:]
             self.dtype = stacks[0].dtype
             if col is None:
                 return
             self.svec = _svec(self.item[0], self.dtype.kind == "c")
-            self.touched, self.coeffs, self.cols = [], [], []
-            for stack, flat in zip(stacks, self.flats):
-                touched = flat.any(axis=1)
-                touched = slice(None) if touched.all() else np.flatnonzero(touched)
-                self.touched.append(touched)
-                self.coeffs.append(stack[touched])
-                self.cols.append(slice(self.end, self.end + len(self.svec[0])))
-                self.end += len(self.svec[0])
+            width = len(self.svec[0])
+            touched = self.flat.reshape(m, self.rows, -1).any(axis=2).T
+            self.touched = [slice(None) if t.all() else np.flatnonzero(t) for t in touched]
+            self.coeffs = [self.stack[t, j] for j, t in enumerate(self.touched)]
+            self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(self.rows)]
+            self.end = col + self.rows * width
             return
         user = np.concatenate([np.zeros((m, 0)), *stacks], axis=1)
         rows, cols = np.nonzero(user)
@@ -427,8 +427,7 @@ class _Standardized:
         self.m = m = len(first.constraints)
         self.b = np.stack([p._rhs for p in problems])
         stacks = first._stacks
-        flats = [st.reshape(m, -1).view(float) for st in stacks]
-        row_sq = sum(np.einsum("ij,ij->i", f, f) for f in flats)  # per row, its |.|^2
+        row_sq = sum(np.einsum("ij,ij->i", f, f) for f in map(_flat, stacks))  # |row|^2
         keys: dict = {}  # (PSD, size, dtype) -> blocks; the LP blocks share one
         for bi, (block, stack) in enumerate(zip(first.blocks, stacks)):
             sdp = block.kind == "sdp"
@@ -449,9 +448,7 @@ class _Standardized:
         self.gram = np.zeros((len(problems), m, col)) if gram else None
         self.nu = sum(b.size for b in first.blocks) + len(le_rows)
         # Where each block sits in an instance's rows of its group's array:
-        # (group, row, index in the row). The terms of a sum over blocks, in
-        # block order, are the (group, row) pairs: one per PSD block, and
-        # one for the LP group.
+        # (group, row, index in the row).
         self.places = [None] * len(stacks)
         for gi, g in enumerate(self.groups):
             start = 0
@@ -459,12 +456,6 @@ class _Standardized:
                 end = start + stacks[bi].shape[1]
                 self.places[bi] = (gi, j, ...) if g.sdp else (gi, 0, slice(start, end))
                 start = end
-        self.terms = list(dict.fromkeys(
-            [(gi, j) for gi, j, _ in self.places]
-            + [(gi, 0) for gi, g in enumerate(self.groups) if not g.sdp]
-        ))
-        starts = list(itertools.accumulate((g.rows for g in self.groups), initial=0))
-        self._dot_order = [starts[gi] + j for gi, j in self.terms]
         self.objective = self.grouped(list(zip(*(p.objective for p in problems))))
         for c in self.objective:
             c *= self.sign
@@ -484,54 +475,41 @@ class _Standardized:
 
     def dots(self, a: list, b: list) -> np.ndarray:
         """Re <a_k, b_k> for each instance k of two lists of group arrays:
-        one product per group gives the dot of each block, and the dots are
-        added left to right in block order."""
-        if len(self.terms) == 1:  # the same product, with less to set up
-            return _dots(a[0], b[0])
-        parts = []
-        for g, ag, bg in zip(self.groups, a, b):
-            lead = (len(ag) // g.rows, g.rows)
-            fa, fb = ag.reshape(*lead, -1).view(float), bg.reshape(*lead, -1).view(float)
-            parts.append((fa[..., None, :] @ fb[..., None])[..., 0, 0])
-        dots = np.concatenate(parts, axis=1)[:, self._dot_order]
-        return np.add.accumulate(dots, axis=1)[:, -1]
+        one product per instance and group, added in group order."""
+        terms = [_dots(ag, bg, g.rows) for g, ag, bg in zip(self.groups, a, b)]
+        return functools.reduce(np.add, terms)
 
     # -- block-space linear maps, per instance ---------------------------
 
     def apply_A(self, x: list, start=None) -> np.ndarray:
-        """A x per instance, plus `start` if given, added in block order."""
-        out = start
-        for gi, j in self.terms:
-            g = self.groups[gi]
-            if g.sdp:
-                term = _times(_flat(x[gi][j :: g.rows]), g.flats[j].T)
-            else:
-                term = (g.mat @ x[gi].T).T
-            out = term if out is None else out + term
-        return out
+        """A x per instance, plus `start` if given: one product per
+        instance and group, added in group order after `start`."""
+        terms = [
+            _times(_flat(xg, g.rows), g.flat.T) if g.sdp else (g.mat @ xg.T).T
+            for g, xg in zip(self.groups, x)
+        ]
+        return functools.reduce(np.add, terms if start is None else [start, *terms])
 
     def apply_At(self, y: np.ndarray) -> list:
-        out = []
-        for g in self.groups:
-            if g.sdp:
-                flat = np.empty((len(y), g.rows, 1, g.flats[0].shape[1]))
-                for j, f in enumerate(g.flats):
-                    np.matmul(y[:, None, :], f, out=flat[:, j])
-                out.append(flat.view(g.dtype).reshape(-1, *g.item))
-            else:
-                out.append((g.mat_t @ y.T).T)
-        return out
+        """A^T y per instance, as group arrays: one product per instance and
+        group."""
+        return [
+            _times(y, g.flat).view(g.dtype).reshape(-1, *g.item) if g.sdp
+            else (g.mat_t @ y.T).T
+            for g in self.groups
+        ]
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """Float64 view of each instance's flattened block: Re tr(A B) =
+def _flat(a: np.ndarray, rows: int = 1) -> np.ndarray:
+    """Float64 view of each instance's `rows` items, flattened: Re tr(A B) =
     _flat(A)[k] @ _flat(B)[k] for Hermitian A and B."""
-    return a.reshape(len(a), -1).view(float)
+    return a.reshape(len(a) // rows, -1).view(float)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_k, b_k> for each instance k of two block arrays."""
-    return (_flat(a)[:, None, :] @ _flat(b)[:, :, None])[:, 0, 0]
+def _dots(a: np.ndarray, b: np.ndarray, rows: int = 1) -> np.ndarray:
+    """Re <a_k, b_k> for each instance k of two arrays of `rows` items per
+    instance."""
+    return (_flat(a, rows)[:, None, :] @ _flat(b, rows)[:, :, None])[:, 0, 0]
 
 
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -669,10 +647,10 @@ class _SchurSolver:
     syrk, exactly symmetric. A block fills only its rows of G that touch it;
     the others stay 0 in `_Standardized.gram`. Problems with fewer than
     _GRAM_MIN_ROWS rows, whose cost is the number of numpy calls rather than
-    the arithmetic, instead add a term (A_i . W A_j W) per PSD block. Any LP
-    term A diag(w2) A^T is added, in block order, and a sum of terms is
-    symmetrized. Those M, and any M whose LU fails, take a jittered Cholesky
-    factor.
+    the arithmetic, instead add a term (A_i . W A_j W) per PSD group, with W
+    broadcast over the group's blocks. Any LP term A diag(w2) A^T is added,
+    in group order, and a sum of terms is symmetrized. Those M, and any M
+    whose LU fails, take a jittered Cholesky factor.
     """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
@@ -682,23 +660,19 @@ class _SchurSolver:
                 _sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in nt.w2[0]
             ]
             return
-        mat = None if std.gram is None else self._gram(std, nt)
-        symmetric = mat is not None
-        for gi, j in std.terms:
-            g = std.groups[gi]
+        terms = [] if std.gram is None else [self._gram(std, nt)]
+        for gi, g in enumerate(std.groups):
             if g.sdp and std.gram is None:
-                w = nt.W[gi][j :: g.rows, None]
-                waw = np.matmul(w, np.matmul(g.stacks[j], w))
+                # W A W for every row and block: W broadcast over the rows.
+                w = nt.W[gi].reshape(-1, 1, *g.stack.shape[1:])
+                waw = np.matmul(w, np.matmul(g.stack, w))
                 flat = waw.reshape(len(waw), std.m, -1).view(float)
-                term = np.matmul(g.flats[j], flat.swapaxes(1, 2))
+                terms.append(np.matmul(g.flat, flat.swapaxes(1, 2)))
             elif not g.sdp and g.mat.nnz:
                 a = g.mat
-                term = np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[gi]])
-            else:
-                continue
-            mat = term if mat is None else mat + term
-            symmetric = False
-        if not symmetric:
+                terms.append(np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[gi]]))
+        mat = functools.reduce(np.add, terms)
+        if len(terms) > 1 or std.gram is None:  # G G^T is exactly symmetric
             mat = (mat + mat.swapaxes(1, 2)) / 2.0
         self._systems = [(mk, _dense_solver(mk)) for mk in mat]
 

@@ -30,9 +30,9 @@ __all__ = [
     "kron",
     "lift",
     "make_channel",
-    "max_entangled_state",
     "partial_trace",
     "partial_transpose",
+    "row_stochastic",
     "subsystem_permute",
     "tensor_channels",
     "trace_norm_hermitian",
@@ -166,12 +166,6 @@ def trace_norm_hermitian(m) -> float:
     if not is_hermitian(a, 1e-10):
         raise ValueError("trace_norm_hermitian requires a Hermitian matrix")
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-
-
-def max_entangled_state(d: int) -> np.ndarray:
-    """Normalized maximally entangled projector on d x d."""
-    j = _identity_choi(d)
-    return j / d
 
 
 def _off_diagonal_basis(n: int) -> list[np.ndarray]:
@@ -347,11 +341,7 @@ def make_channel(
     if family == "classical":
         if matrix is None:
             raise ValueError("classical channel requires matrix=")
-        n = np.asarray(matrix, dtype=float)
-        if n.ndim != 2 or np.any(n < -1e-12):
-            raise ValueError("classical channel matrix must be nonnegative 2-D")
-        if np.max(np.abs(n.sum(axis=1) - 1.0)) > 1e-10:
-            raise ValueError("classical channel matrix must be row stochastic")
+        n = row_stochastic(matrix)
         nx, ny = n.shape
         j = np.diag(n.reshape(-1)).astype(np.complex128)
         return QuantumChannel(nx, ny, j)
@@ -368,6 +358,23 @@ def make_channel(
             raise ValueError("dim_in must be positive")
         return QuantumChannel(din, s.shape[0], kron(identity_matrix(din), s))
     raise ValueError(f"unknown channel family {family!r}")
+
+
+def row_stochastic(matrix) -> np.ndarray:
+    """A classical channel N(y|x), one distribution per row, as a float
+    array, checked: 2-D and not empty, finite, nonnegative up to -1e-12, and
+    with rows summing to 1 within 1e-10. Raises ValueError otherwise."""
+    mat = np.asarray(matrix, dtype=float)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"channel must be a 2-D matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("channel matrix has non-finite entries")
+    if np.min(mat) < -1e-12:
+        raise ValueError("channel matrix has negative entries")
+    row_sums = mat.sum(axis=1)
+    if np.max(np.abs(row_sums - 1.0)) > 1e-10:
+        raise ValueError(f"channel rows must sum to 1, got sums {row_sums}")
+    return mat
 
 
 def _unit_interval(name: str, value: float | None) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 
 from .conic import HermitianProgram, SolverFailure, dump_problem, solve, solver_options
 from .programs import CostResult, _check_eps, cost_result_from_trv
+from .qmat import row_stochastic
 
 _NORMALIZATION_TOL = 1e-9
 _MAX_LOG2_TRV = 1020.0
@@ -127,7 +128,8 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     a head k..n. Walking k = n..0 with the head mass M and head weight W, the
     level lands in the first head whose clipped mass M - p_(k-1) W at the next
     sector down exceeds eps, at s = (M - eps) / W. W and s stay in the log
-    domain, and tr V = d^n s* is reported through its log2.
+    domain, and tr V = d^n s* is reported through its log2, which is 0
+    exactly at the floor.
 
     At eps = 0 no search is needed: s = max_k p_k = q1^n and
     tr V = (d q1)^n.
@@ -183,12 +185,17 @@ def _waterfill(
     for eps in eps_values:
         log2_trv = log2_cap
         if eps > 0.0:
-            log_s = -n * math.log(d)
+            # At the floor d^-n of the level, tr V = 1 exactly: n log2 d and
+            # log s / log 2 would not cancel in floating point. At eps = 1
+            # the whole unit mass may be clipped, so the level is the floor;
+            # a head mass that rounds above 1 must not place it higher.
+            log2_trv = 0.0
             over = np.flatnonzero(clipped > eps)
-            if over.size:
+            if eps < 1.0 and over.size:
                 i = over[0]
-                log_s = max(log_s, math.log(head_mass[i] - eps) - log_head_weight[i])
-            log2_trv = n * math.log2(d) + log_s / math.log(2.0)
+                log_s = math.log(head_mass[i] - eps) - log_head_weight[i]
+                if log_s > -n * math.log(d):
+                    log2_trv = n * math.log2(d) + log_s / math.log(2.0)
         costs.append(cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv))
     return tuple(costs)
 
@@ -215,16 +222,7 @@ def classical_cost_lp(
             row-stochastic, eps is out of range or a solver option is
             invalid, at eps = 0 too.
     """
-    mat = np.asarray(channel, dtype=float)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"channel must be a 2-D matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("channel matrix has non-finite entries")
-    if np.min(mat) < -1e-12:
-        raise ValueError("channel matrix has negative entries")
-    row_sums = mat.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-10:
-        raise ValueError(f"channel rows must sum to 1, got sums {row_sums}")
+    mat = row_stochastic(channel)
     eps = _check_eps(eps)
     n_in, n_out = mat.shape
 

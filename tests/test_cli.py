@@ -376,8 +376,8 @@ def test_depol_scan_endpoints(tmp_path, capsys):
                                     f"{res.cost_bits / n:.6f}",
                                     f"{res.half_log_trv / n:.6f}"]
                 if p == "1":
-                    assert row[2] == row[3] == row[5] == "0.000000"
-                    assert abs(float(row[4])) <= 1e-6
+                    assert row[2] == row[3] == row[4] == row[5] == "0.000000"
+                    assert res.tr_v_opt == 1.0
                 else:
                     unceiled = math.log2(d) + math.log2(0.99) / (2 * n)
                     assert abs(float(row[4]) - unceiled) <= 1e-6, (d, n)

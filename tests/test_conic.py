@@ -850,10 +850,11 @@ class TestBlockGroups:
 
     @pytest.mark.parametrize("order", [(5, 3, 6, 4, 0, 1, 2), (6, 5, 4, 3, 2, 1, 0)])
     def test_block_order_does_not_change_the_solution(self, order):
-        # Another order only changes the rounding of the sums over blocks.
-        # On this problem that moves the primal value by a few 1e-12
-        # relative, as it did before blocks were grouped, and the blocks by
-        # up to 1e-7: the iterates converge to 1e-8 only.
+        # Another order only changes the rounding: the blocks of a group sit
+        # in another order in its arrays, and the groups add their terms in
+        # another order. On this problem that moves the primal value by a
+        # few 1e-12 relative, and the blocks by up to 1e-7: the iterates
+        # converge to 1e-8 only.
         want = solve(grouped_batch(1)[0])
         got = solve(grouped_batch(1, order)[0])
         assert want.status == "optimal"
@@ -881,6 +882,73 @@ class TestBlockGroups:
             assert got.shape == ref.shape
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_linear_maps_are_their_definitions(self):
+        # A x, A^T y and the inner products, one product per group, against
+        # their definitions row by row and block by block, on two instances.
+        batch = grouped_batch(2)
+        problem = batch[0]
+        std = conic._Standardized(batch)
+        groups = [(g.sdp, g.rows, g.dtype) for g in std.groups]
+        assert groups[:3] == [(True, 3, np.float64), (False, 1, np.float64),
+                              (True, 1, np.complex128)]
+        rows = problem.constraints
+        m, le = len(rows), np.flatnonzero(problem._le)
+        rng = np.random.default_rng(31)
+
+        def point():
+            """Per instance, a Hermitian or real entry per block and the slack."""
+            out = []
+            for _ in batch:
+                blocks = []
+                for kind, n, is_complex in _GROUPED_BLOCKS:
+                    g = rng.standard_normal(n if kind == "lp" else (n, n))
+                    if is_complex:
+                        g = g + 1j * rng.standard_normal((n, n))
+                    blocks.append(g if kind == "lp" else (g + g.conj().T) / 2)
+                out.append((blocks, rng.standard_normal(len(le))))
+            return out
+
+        def grouped(pt):
+            arrays = std.grouped([list(entries) for entries in zip(*(b for b, _ in pt))])
+            arrays[1][:, -len(le):] = [slack for _, slack in pt]
+            return arrays
+
+        def inner(a, b):
+            return float(np.sum(a * np.conj(b)).real)
+
+        def close(got, want):
+            assert np.abs(np.asarray(got) - want).max() <= 1e-13 * np.abs(want).max()
+
+        x = point()
+        ax = std.apply_A(grouped(x))
+        for k, (blocks, slack) in enumerate(x):
+            want = np.array([
+                sum(inner(c, b) for c, b in zip(row.coeffs, blocks) if c is not None)
+                for row in rows
+            ])
+            want[le] += slack
+            close(ax[k], want)
+
+        y = rng.standard_normal((len(batch), m))
+        aty = std.apply_At(y)
+        for k in range(len(batch)):
+            blocks = [
+                sum(y[k, i] * row.coeffs[bi] for i, row in enumerate(rows)
+                    if row.coeffs[bi] is not None)
+                for bi in range(len(_GROUPED_BLOCKS))
+            ]
+            want = std.grouped([[b] for b in blocks])  # as instance 0
+            want[1][0, -len(le):] = y[k, le]
+            for got_g, want_g in zip(aty, want):
+                close(got_g.reshape(len(batch), -1)[k], want_g.reshape(len(batch), -1)[0])
+
+        a, b = point(), point()
+        want = [
+            sum(inner(p, q) for p, q in zip(pa, pb)) + sa @ sb
+            for (pa, sa), (pb, sb) in zip(a, b)
+        ]
+        close(std.dots(grouped(a), grouped(b)), want)
 
     def test_batch_is_bitwise_its_solves(self):
         batch = grouped_batch(4)

@@ -213,6 +213,13 @@ class TestMakeChannel:
         ch = make_channel("classical", matrix=n)
         assert np.allclose(ch.choi, np.diag([0.8, 0.2, 0.4, 0.6]), atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_classical_rejects_non_finite_entries(self, bad):
+        # NaN passes the sign and row-sum tests, and inf fails the row sums:
+        # both must be named for what they are.
+        with pytest.raises(ValueError, match="non-finite"):
+            make_channel("classical", matrix=[[bad, 1.0], [0.5, 0.5]])
+
     def test_constant_channel(self):
         sigma = np.diag([0.25, 0.75]).astype(complex)
         ch = make_channel("constant", sigma=sigma, dim_in=3)

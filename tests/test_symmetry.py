@@ -121,7 +121,12 @@ def test_matches_full_sdp_noiseless_endpoint():
 
 
 def test_endpoint_values():
-    assert abs(depolarizing_cost_lp(7, 2, 1.0, 0.3).tr_v_opt - 1.0) <= 1e-7
+    # At the floor d^-n of the level (p = 1, or eps = 1, which may clip the
+    # whole mass) tr V = 1 and log2 tr V = 0 exactly, with no rounding residue.
+    for d, n in ((2, 7), (2, 150), (3, 1), (3, 40)):
+        for p, eps in ((1.0, 0.3), (1.0, 0.01), (0.15, 1.0), (0.0, 1.0)):
+            res = depolarizing_cost_lp(n, d, p, eps)
+            assert (res.tr_v_opt, res.half_log_trv) == (1.0, 0.0), (d, n, p, eps)
     assert abs(depolarizing_cost_lp(4, 2, 0.0, 0.0).tr_v_opt - 2.0**8) <= 1e-9
     res = depolarizing_cost_lp(5, 2, 0.0, 0.01)
     assert abs(2 * res.half_log_trv - (10 + math.log2(0.99))) <= 1e-6
