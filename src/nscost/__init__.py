@@ -57,11 +57,9 @@ from nscost.qmat import (
     trace_norm_hermitian,
 )
 from nscost.symmetry import (
-    LPReduction,
     classical_cost_lp,
     depolarizing_cost_lp,
     depolarizing_mutual_info,
-    depolarizing_reduction,
     depolarizing_sweep,
 )
 

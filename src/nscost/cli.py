@@ -6,7 +6,7 @@ Subcommands:
     diamond       half diamond-norm distance between two channels
     maxinfo       (smooth) channel max-information
     classical-lp  simulation cost of a classical channel
-    depol-scan    blocklength sweep of the depolarizing LP at one tolerance
+    depol-scan    blocklength sweep of the depolarizing cost at one tolerance
     figure2       per-use depolarizing cost curves at three tolerances (CSV)
     figure3       zero-error cost of the four closed-form families (CSV)
     verify        closed form vs solver vs certificate for one channel
@@ -219,10 +219,10 @@ _DEPOL_HEADER = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_us
 
 
 def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
-    # One sweep waterfills every tolerance of a blocklength from one sector
-    # table; figure2's 900 points to n = 300 take tens of milliseconds, so
-    # the rows are computed in process: a worker pool would cost more to
-    # start than it saves.
+    # One sweep waterfills every tolerance of a blocklength from one table of
+    # Bell-spectrum groups; figure2's 900 points to n = 300 take tens of
+    # milliseconds, so the rows are computed in process: a worker pool would
+    # cost more to start than it saves.
     qe = _fmt(depolarizing_mutual_info(d, p) / 2.0)
     return [
         (
@@ -406,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--eps", type=float, default=0.0)
     _add_solver_flags(sub)
 
-    sub = subs.add_parser("depol-scan", help="depolarizing LP blocklength sweep")
+    sub = subs.add_parser("depol-scan", help="depolarizing cost blocklength sweep")
     sub.add_argument("--d", type=int, default=2)
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--eps", type=float, required=True)

@@ -133,15 +133,18 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
         log2_trv: optional exact log2 of tr_v, preferred when the caller
             already works in the log domain (large blocklengths).
     """
+    # A numpy scalar would turn _ceil_sqrt's integer comparison into a
+    # float64 one, which rounds m^2 once it passes 2^53.
+    tr_v = float(tr_v)
     if not tr_v > 0.0:
         raise ValueError(f"tr V must be positive, got {tr_v}")
     if log2_trv is None:
         log2_trv = math.log2(tr_v)
-    half = 0.5 * log2_trv
+    half = 0.5 * float(log2_trv)
     m_star = _ceil_sqrt(tr_v)
     cost_bits = math.log2(m_star)
     return CostResult(
-        tr_v_opt=float(tr_v),
+        tr_v_opt=tr_v,
         half_log_trv=half,
         m_star=m_star,
         cost_bits=cost_bits,

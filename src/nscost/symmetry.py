@@ -1,31 +1,32 @@
-"""Symmetry-reduced linear programs for simulation costs at large blocklength.
+"""Simulation costs that need no SDP solve at large blocklength.
 
-Two families of channels admit an exact reduction of the cost SDP to a small
-LP. Classical channels reduce because all Choi matrices involved commute, and
-n-fold depolarizing channels reduce because J_{D_p}^{(x) n} is a mixture of
-permutation-symmetric projectors: with q1 = d(1-p) + p/d and q2 = p/d, the
-spectrum takes the value p_k = q1^k q2^(n-k) on a sector of relative weight
+Classical channels reduce to an LP because all Choi matrices involved
+commute. The n-fold depolarizing channel reduces to waterfilling. Its Choi
+matrix is Bell-diagonal, J = D sum_i lam_i Phi_i over the projectors Phi_i
+onto the D^2 Bell states of D = d^n, with sum_i lam_i = 1. Twirling with the
+Weyl operators of each use makes every variable of the cost program
+Bell-diagonal and V proportional to the identity, so the program becomes
 
-    w_k = C(n, k) (1/d)^k (d - 1/d)^(n-k),
+    tr V = D^2 max(D^-2, t*),   t* = min{t : sum_i (lam_i - t)_+ <= eps}:
 
-so the n-use cost program collapses to an LP over n+1 sectors, which
-waterfilling solves exactly. Everything here is assembled in the log domain:
-the weights and spectra span thousands of orders of magnitude long before n
-reaches 300, and the optimal level s itself can lie far below the range of
-double precision even though d^n s stays moderate.
+clip every lam_i at the level t and pay the clipped mass out of eps.
+Per use the identity Bell state carries a = 1 - p + p/d^2 and each of the
+other d^2 - 1 carries b = p/d^2, so the n-use spectrum falls into n + 1
+groups: group k holds the C(n, k) (d^2 - 1)^(n-k) Bell states that are the
+identity state on exactly k uses, each of value a^k b^(n-k). Everything is
+assembled in the log domain: group sizes and values span thousands of
+orders of magnitude long before n reaches 300, and t* itself can lie far
+below the range of double precision even though D^2 t* stays moderate.
 
 One core prices a whole sweep: `depolarizing_sweep` takes the log-factorials
-once, builds each blocklength's sector table once (weights, spectrum, and the
-head masses and weights of the waterfilling) and waterfills every tolerance
-from it. `depolarizing_cost_lp` and `depolarizing_reduction` are that core
-run on one blocklength. The sector masses are checked to sum to 1 by a
-max-shifted sum in numpy.
+once, builds each blocklength's groups once and waterfills every tolerance
+from them; `depolarizing_cost_lp` is that core on one blocklength. The group
+masses are checked to sum to 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,64 +36,6 @@ from .qmat import row_stochastic
 
 _NORMALIZATION_TOL = 1e-9
 _MAX_LOG2_TRV = 1020.0
-
-
-@dataclass(frozen=True)
-class LPReduction:
-    """Sector data of the n-fold depolarizing simulation LP.
-
-    Attributes:
-        n: blocklength.
-        d: local dimension.
-        log_weights: natural logs of the sector weights w_k, k = 0..n.
-        log_spectrum: natural logs of the sector eigenvalues p_k, k = 0..n.
-            Entries are -inf where the eigenvalue vanishes (p = 0 or 1).
-    """
-
-    n: int
-    d: int
-    log_weights: np.ndarray
-    log_spectrum: np.ndarray
-
-
-def depolarizing_reduction(n: int, d: int, p: float) -> LPReduction:
-    """Sector weights and spectrum of J_{D_p}^{(x) n} in the log domain.
-
-    The sector masses w_k p_k form a binomial distribution with success
-    probability q1/d, which is checked to sum to 1 within 1e-9.
-    """
-    n, d, p = _check_dp_args(n, d, p)
-    return _reduction(n, d, p, _log_factorials(n))
-
-
-def _log_factorials(n_max: int) -> np.ndarray:
-    return np.array([math.lgamma(j + 1) for j in range(n_max + 1)])
-
-
-def _reduction(n: int, d: int, p: float, lgam: np.ndarray) -> LPReduction:
-    """`depolarizing_reduction` from the log-factorials lgam[j] = log j!,
-    j = 0..n or beyond."""
-    q1 = d * (1.0 - p) + p / d
-    q2 = p / d
-    k = np.arange(n + 1, dtype=float)
-    lg = lgam[: n + 1]
-    log_binom = lgam[n] - lg - lg[::-1]
-    log_weights = log_binom - k * math.log(d) + (n - k) * math.log(d - 1.0 / d)
-    log_q1 = math.log(q1) if q1 > 0.0 else -math.inf
-    log_q2 = math.log(q2) if q2 > 0.0 else -math.inf
-    with np.errstate(invalid="ignore"):
-        log_spectrum = k * log_q1 + (n - k) * log_q2
-    # 0 * (-inf) from the arange endpoints must read as an absent factor.
-    log_spectrum[np.isnan(log_spectrum)] = -math.inf
-    if q2 == 0.0:
-        log_spectrum[:n] = -math.inf
-        log_spectrum[n] = n * log_q1
-    log_mass = log_weights + log_spectrum
-    top = log_mass.max()
-    total = top + math.log(np.exp(log_mass - top).sum())
-    if abs(total) > _NORMALIZATION_TOL:
-        raise ValueError(f"sector masses sum to exp({total}), expected 1")
-    return LPReduction(n=n, d=d, log_weights=log_weights, log_spectrum=log_spectrum)
 
 
 def _check_dp_args(n, d, p):
@@ -110,29 +53,20 @@ def _check_dp(d, p):
     return int(d), p
 
 
+def _bell_values(d: int, p: float) -> tuple[float, float]:
+    """The Bell spectrum of one use of the depolarizing channel: the value a
+    of the identity Bell state and the value b of each of the d^2 - 1 others."""
+    return 1.0 - p + p / (d * d), p / (d * d)
+
+
 def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
-    """Simulation cost of n uses of the depolarizing channel, via the sector LP.
+    """Simulation cost of n uses of the depolarizing channel, by waterfilling.
 
-    The sector LP, over retained spectrum r_k and clipping slack y_k,
-
-        min s  s.t.  y_k - r_k + p_k >= 0,  y_k >= 0,  0 <= r_k <= s,
-                     sum_k w_k r_k = 1,  sum_k w_k y_k <= eps,
-
-    is solved exactly by waterfilling: clip every sector value at s and pay
-    the clipped mass out of the error budget, so
-
-        s* = max(d^-n, min{s : sum_k w_k (p_k - s)_+ <= eps}),
-
-    where d^-n = 1 / sum_k w_k is the lowest level that still holds unit
-    mass. Since p_k rises with k (q1 >= q2), the sectors above the water are
-    a head k..n. Walking k = n..0 with the head mass M and head weight W, the
-    level lands in the first head whose clipped mass M - p_(k-1) W at the next
-    sector down exceeds eps, at s = (M - eps) / W. W and s stay in the log
-    domain, and tr V = d^n s* is reported through its log2, which is 0
-    exactly at the floor.
-
-    At eps = 0 no search is needed: s = max_k p_k = q1^n and
-    tr V = (d q1)^n.
+    tr V = D^2 max(D^-2, t*) with D = d^n, where t* is the lowest level at
+    which the Bell spectrum of the Choi matrix loses at most eps of its mass
+    when clipped (see the module docstring). D^-2 is the lowest level that
+    still holds unit mass, and log2 tr V is 0 exactly there. At eps = 0
+    nothing is clipped: t* = a^n and tr V = (d^2 a)^n.
 
     Raises:
         ValueError: on invalid arguments, or when log2 tr V would exceed the
@@ -140,7 +74,7 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     """
     n, d, p = _check_dp_args(n, d, p)
     eps = _check_eps(eps)
-    return _waterfill(n, d, p, _log_factorials(n), (eps,))[0]
+    return _depolarizing_costs(n, d, p, _log_factorials(n), (eps,))[0]
 
 
 def depolarizing_sweep(
@@ -150,7 +84,7 @@ def depolarizing_sweep(
 
     Entry n - 1 holds one CostResult per entry of eps_values, each equal to
     `depolarizing_cost_lp(n, d, p, eps)`. Every tolerance of a blocklength is
-    waterfilled from one sector table.
+    waterfilled from one table of groups.
 
     Raises:
         ValueError: on invalid arguments, or at the first blocklength whose
@@ -159,45 +93,74 @@ def depolarizing_sweep(
     n_max, d, p = _check_dp_args(n_max, d, p)
     eps_values = tuple(_check_eps(eps) for eps in eps_values)
     lgam = _log_factorials(n_max)
-    return [_waterfill(n, d, p, lgam, eps_values) for n in range(1, n_max + 1)]
+    return [_depolarizing_costs(n, d, p, lgam, eps_values) for n in range(1, n_max + 1)]
 
 
-def _waterfill(
-    n: int, d: int, p: float, lgam: np.ndarray, eps_values: tuple
-) -> tuple[CostResult, ...]:
+def _log_factorials(n_max: int) -> np.ndarray:
+    return np.array([math.lgamma(j + 1) for j in range(n_max + 1)])
+
+
+def _depolarizing_costs(n: int, d: int, p: float, lgam: np.ndarray, eps_values):
     """The costs of n uses at each tolerance, as `depolarizing_cost_lp`
     documents, from the log-factorials lgam[j] = log j!, j = 0..n or beyond."""
-    red = _reduction(n, d, p, lgam)
-    q1 = d * (1.0 - p) + p / d
-    log2_cap = n * (math.log2(d) + math.log2(q1))
+    a, b = _bell_values(d, p)
+    # tr V at eps = 0 is (d^2 a)^n; one product makes it 1 exactly at p = 1.
+    log2_cap = n * math.log2(d * d * a)
     if log2_cap > _MAX_LOG2_TRV:
-        raise ValueError(
-            f"log2 tr V can reach {log2_cap:.1f} bits at these parameters, "
-            "beyond double-precision range"
-        )
-
-    # Index i below is the head k = n - i..n.
-    head_mass = np.cumsum(np.exp(red.log_weights + red.log_spectrum)[::-1])
-    log_head_weight = np.logaddexp.accumulate(red.log_weights[::-1])
-    log_next_level = np.append(red.log_spectrum[::-1][1:], -math.inf)
-    clipped = head_mass - np.exp(log_next_level + log_head_weight)
+        raise ValueError(f"log2 tr V can reach {log2_cap:.1f} bits at these "
+                         "parameters, beyond double-precision range")
+    k = np.arange(n, -1, -1)  # group k = n..0, in decreasing order of value
+    j = n - k  # the uses on one of the d^2 - 1 other Bell states
+    log_size = lgam[n] - lgam[k] - lgam[j] + j * math.log(d * d - 1)
+    log_b = math.log(b) if b > 0.0 else -math.inf  # b^0 = 1 also at b = 0:
+    log_b_power = np.multiply(j, log_b, out=np.zeros(n + 1), where=j > 0)
+    log_value = k * math.log(a) + log_b_power
+    log2_dim2 = 2 * n * math.log2(d)
     costs = []
-    for eps in eps_values:
-        log2_trv = log2_cap
-        if eps > 0.0:
-            # At the floor d^-n of the level, tr V = 1 exactly: n log2 d and
-            # log s / log 2 would not cancel in floating point. At eps = 1
-            # the whole unit mass may be clipped, so the level is the floor;
-            # a head mass that rounds above 1 must not place it higher.
-            log2_trv = 0.0
-            over = np.flatnonzero(clipped > eps)
-            if eps < 1.0 and over.size:
-                i = over[0]
-                log_s = math.log(head_mass[i] - eps) - log_head_weight[i]
-                if log_s > -n * math.log(d):
-                    log2_trv = n * math.log2(d) + log_s / math.log(2.0)
+    for eps, log_t in zip(eps_values, _waterfill(log_size, log_value, eps_values)):
+        log2_trv = log2_dim2 + log_t / math.log(2.0) if eps > 0.0 else log2_cap
+        # At or below the floor D^-2 of the level, tr V = 1 exactly: 2n log2 d
+        # and log2 t would not cancel in floating point.
+        log2_trv = max(log2_trv, 0.0)
         costs.append(cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv))
     return tuple(costs)
+
+
+def _waterfill(log_size: np.ndarray, log_value: np.ndarray, eps_values):
+    """Yield the natural log of the level t* = min{t : sum_i (lam_i - t)_+ <=
+    eps} for each tolerance, over a spectrum given as groups of equal
+    eigenvalues.
+
+    Group j holds exp(log_size[j]) eigenvalues of value exp(log_value[j]),
+    in decreasing order of value, and the masses must sum to 1. With the
+    head 0..i above the level, t lies in [v_(i+1), v_i], the mass clipped
+    is H_i - t W_i and the mass kept is T_i + t W_i, with head mass H_i,
+    tail mass T_i = 1 - H_i and head size W_i. The level lies in the first
+    head that clips more than eps at the next value down, at
+    t = (H_i - eps) / W_i. Both that test and the numerator are taken from
+    the smaller of H_i and T_i, as H_i - v_(i+1) W_i > eps and H_i - eps or
+    as T_i + v_(i+1) W_i < 1 - eps and (1 - eps) - T_i, so that no
+    difference of two numbers near 1 decides anything, whether eps is near
+    0 or near 1. At eps = 0 the level is the largest value, and at eps = 1
+    it is -inf.
+    """
+    mass = np.exp(log_size + log_value)
+    head_mass = np.cumsum(mass)
+    if abs(head_mass[-1] - 1.0) > _NORMALIZATION_TOL:
+        raise ValueError(f"group masses sum to {head_mass[-1]}, expected 1")
+    tail_mass = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
+    log_head_size = np.logaddexp.accumulate(log_size)
+    at_next = np.exp(log_head_size + np.append(log_value[1:], -math.inf))
+    small_head = head_mass <= tail_mass
+    clipped_at_next, kept_at_next = head_mass - at_next, tail_mass + at_next
+    for eps in eps_values:
+        over = np.where(small_head, clipped_at_next > eps, kept_at_next < 1.0 - eps)
+        log_t = float(log_value[0]) if eps == 0.0 else -math.inf
+        if eps > 0.0 and over.any():
+            i = over.argmax()
+            num = head_mass[i] - eps if small_head[i] else (1.0 - eps) - tail_mass[i]
+            log_t = math.log(num) - float(log_head_size[i])
+        yield log_t
 
 
 def classical_cost_lp(
@@ -255,17 +218,15 @@ def depolarizing_mutual_info(d: int, p: float) -> float:
     """Mutual information I(A:B) of the depolarizing channel, in bits.
 
     Evaluated on the maximally entangled input, which is optimal by
-    covariance: I = log2 d^2 + l1 log2 l1 + (d^2 - 1) l2 log2 l2 with
-    l1 = 1 - p + p/d^2 and l2 = p/d^2. Half of this value is the
+    covariance, from the Bell spectrum a, b of the Choi state:
+    I = log2 d^2 + a log2 a + (d^2 - 1) b log2 b. Half of this value is the
     entanglement-assisted quantum capacity, the asymptote of the per-use
     simulation cost.
     """
     d, p = _check_dp(d, p)
-    d2 = d * d
-    lam1 = 1.0 - p + p / d2
-    lam2 = p / d2
+    a, b = _bell_values(d, p)
 
     def xlog2x(x: float) -> float:
         return x * math.log2(x) if x > 0.0 else 0.0
 
-    return math.log2(d2) + xlog2x(lam1) + (d2 - 1) * xlog2x(lam2)
+    return math.log2(d * d) + xlog2x(a) + (d * d - 1) * xlog2x(b)

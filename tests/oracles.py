@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.optimize
 import scipy.special
@@ -170,6 +171,40 @@ def waterfill_log2_trv(n: int, d: int, p: float, eps: float) -> float:
 def _logsumexp(terms: list[float]) -> float:
     m = max(terms)
     return m + math.log(sum(math.exp(t - m) for t in terms))
+
+
+def waterfill_log2_trv_mp(n: int, d: int, p: float, eps: float) -> float:
+    """log2 of the optimal tr V of n depolarizing uses, in 60-digit arithmetic.
+
+    Any eps in [0, 1]. The Choi matrix of D_p^(x)n is Bell-diagonal: per use
+    the identity Bell state has eigenvalue a = 1 - p + p/d^2 and the other
+    d^2 - 1 have b = p/d^2. Walking the n-use eigenvalues from the largest
+    down, a group at a time (k identity factors: C(n, k) (d^2 - 1)^(n-k)
+    states of value a^k b^(n-k)), the level t is the first one at which the
+    clipped mass sum_i (lam_i - t)_+ stops exceeding eps, and
+    tr V = d^(2n) max(d^(-2n), t). p and eps are taken as the exact binary
+    values of the floats given.
+    """
+    with mpmath.workdps(60):
+        p, eps = mpmath.mpf(p), mpmath.mpf(eps)
+        a = 1 - p + p / d**2
+        b = p / d**2
+        head_mass = head_size = mpmath.mpf(0)
+        level = mpmath.mpf(0)
+        for k in range(n, -1, -1):
+            size = math.comb(n, k) * (d * d - 1) ** (n - k)
+            value = a**k * b ** (n - k)
+            # Clipped mass with the level at this group's value.
+            if head_mass - head_size * value > eps:
+                level = (head_mass - eps) / head_size
+                break
+            head_mass += size * value
+            head_size += size
+        else:
+            if head_mass > eps:
+                level = (head_mass - eps) / head_size
+        dim2 = mpmath.mpf(d) ** (2 * n)
+        return float(mpmath.log(max(dim2 * level, 1), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_cost_result_log_domain():
     assert res.half_log_trv == 274.0
 
 
+def test_cost_result_m_star_is_exact_for_numpy_scalars():
+    # m^2 rounds up to tr V in float64, but m^2 < tr V: m* is m + 1.
+    m = 2**52 + 2**26 - 1
+    tr_v = float(m * m)
+    assert m * m < tr_v
+    for value in (tr_v, np.float64(tr_v)):
+        res = cost_result_from_trv(value)
+        assert res.m_star == m + 1
+        assert type(res.tr_v_opt) is float
+        assert type(res.half_log_trv) is float and type(res.delta) is float
+
+
 def test_cost_result_rejects_nonpositive():
     with pytest.raises(ValueError):
         cost_result_from_trv(0.0)

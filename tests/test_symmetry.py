@@ -1,11 +1,10 @@
-"""Tests for the symmetry-reduced cost LPs."""
+"""Tests for the depolarizing waterfilling and the classical cost LP."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from nscost.programs import one_shot_cost_ns
 from nscost.qmat import make_channel, tensor_channels
@@ -13,39 +12,10 @@ from nscost.symmetry import (
     classical_cost_lp,
     depolarizing_cost_lp,
     depolarizing_mutual_info,
-    depolarizing_reduction,
     depolarizing_sweep,
 )
 
-from oracles import classical_cost_linprog, waterfill_log2_trv
-
-
-# ---------------------------------------------------------------------------
-# Sector reduction
-
-
-def test_sector_masses_are_normalized():
-    for n in (1, 5, 60, 300):
-        for d in (2, 3):
-            for p in (0.0, 0.15, 0.5, 1.0):
-                red = depolarizing_reduction(n, d, p)
-                total = logsumexp(red.log_weights + red.log_spectrum)
-                assert abs(total) <= 1e-9, (n, d, p)
-
-
-def test_sector_weights_positive():
-    red = depolarizing_reduction(40, 2, 0.3)
-    assert np.all(np.isfinite(red.log_weights))
-    assert len(red.log_weights) == 41
-
-
-def test_reduction_validates_arguments():
-    with pytest.raises(ValueError):
-        depolarizing_reduction(0, 2, 0.1)
-    with pytest.raises(ValueError):
-        depolarizing_reduction(4, 1, 0.1)
-    with pytest.raises(ValueError):
-        depolarizing_reduction(4, 2, 1.2)
+from oracles import classical_cost_linprog, waterfill_log2_trv, waterfill_log2_trv_mp
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +83,7 @@ def test_matches_full_sdp_two_uses():
 
 def test_matches_full_sdp_noiseless_endpoint():
     # p = 0 leaves n identity channels; smoothing still buys a (1 - eps)
-    # factor, which the LP only sees through sectors of zero mass.
+    # factor, which the waterfilling only sees through Bell states of value 0.
     lp = depolarizing_cost_lp(1, 2, 0.0, 0.01)
     sdp = one_shot_cost_ns(make_channel("depolarizing", d=2, p=0.0), 0.01)
     assert abs(lp.tr_v_opt - sdp.tr_v_opt) <= 1e-6
@@ -121,10 +91,11 @@ def test_matches_full_sdp_noiseless_endpoint():
 
 
 def test_endpoint_values():
-    # At the floor d^-n of the level (p = 1, or eps = 1, which may clip the
-    # whole mass) tr V = 1 and log2 tr V = 0 exactly, with no rounding residue.
-    for d, n in ((2, 7), (2, 150), (3, 1), (3, 40)):
-        for p, eps in ((1.0, 0.3), (1.0, 0.01), (0.15, 1.0), (0.0, 1.0)):
+    # At the floor d^-2n of the level (p = 1, or eps = 1, which may clip the
+    # whole mass) tr V = 1 and log2 tr V = 0 exactly, with no rounding
+    # residue; also at eps = 0, where 49 times the float 1/49 is below 1.
+    for d, n in ((2, 7), (2, 150), (3, 1), (3, 40), (7, 30)):
+        for p, eps in ((1.0, 0.3), (1.0, 0.01), (1.0, 0.0), (0.15, 1.0), (0.0, 1.0)):
             res = depolarizing_cost_lp(n, d, p, eps)
             assert (res.tr_v_opt, res.half_log_trv) == (1.0, 0.0), (d, n, p, eps)
     assert abs(depolarizing_cost_lp(4, 2, 0.0, 0.0).tr_v_opt - 2.0**8) <= 1e-9
@@ -184,8 +155,10 @@ def test_cost_lp_validates_arguments():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sweep_is_the_per_point_lp_bitwise(d):
-    # p = 0 runs the q2 = 0 branch and p = 1 has q1 = q2; eps = 0 takes the
-    # cap and eps = 1 the lowest level d^-n.
+    # p = 0 gives every Bell state but the identity one value 0 and p = 1
+    # gives all of them one value; eps = 0 takes the cap and eps = 1 the
+    # floor d^-2n of the level. Every call also checks that the masses sum
+    # to 1.
     eps_values = (0.0, 5e-4, 0.05, 0.3, 1.0)
     for p in (0.0, 0.15, 0.5, 1.0):
         rows = depolarizing_sweep(60, d, p, eps_values)
@@ -209,6 +182,42 @@ def test_figure2_sweep_matches_waterfilling_oracle():
         for eps, res in zip(eps_values, costs):
             want = waterfill_log2_trv(n, 2, 0.15, eps)
             assert abs(2 * res.half_log_trv - want) <= 1e-12 * max(1.0, want), (n, eps)
+
+
+def test_figure2_sweep_m_star_is_exact():
+    # (m - 1)^2 < tr V - 1e-6 <= m^2, compared exactly: Python compares an
+    # int with a float without rounding either.
+    for costs in depolarizing_sweep(300, 2, 0.15, (5e-4, 5e-3, 5e-2)):
+        for res in costs:
+            target = float(res.tr_v_opt) - 1e-6
+            assert (res.m_star - 1) ** 2 < target <= res.m_star**2, res
+
+
+def test_waterfilling_near_eps_one_matches_mpmath():
+    # For eps near 1 the level keeps a mass of 1 - eps; the test that places
+    # it must not be a difference of two numbers near 1.
+    eps_values = (0.999999, 1 - 1e-14, 1 - 1e-15)
+    rows = depolarizing_sweep(300, 2, 0.15, eps_values)
+    for n in (104, 118, 123, 150, 200, 250, 300):
+        got = [2 * res.half_log_trv for res in rows[n - 1]]
+        for eps, value in zip(eps_values, got):
+            want = waterfill_log2_trv_mp(n, 2, 0.15, eps)
+            assert abs(value - want) <= 1e-9 * max(1.0, want), (n, eps, value, want)
+        assert got[0] >= got[1] >= got[2], (n, got)
+
+
+def test_waterfilling_near_eps_zero_matches_mpmath():
+    # The mirror case: for eps far below the rounding of 1 the level clips
+    # a small head, and the mass kept must not decide where it lies.
+    eps_values = (1e-100, 1e-30, 1e-16)
+    for d, p in ((2, 0.5), (2, 0.9), (3, 0.15)):
+        rows = depolarizing_sweep(300, d, p, eps_values)
+        for n in (40, 150, 300):
+            got = [2 * res.half_log_trv for res in rows[n - 1]]
+            for eps, value in zip(eps_values, got):
+                want = waterfill_log2_trv_mp(n, d, p, eps)
+                assert abs(value - want) <= 1e-9 * max(1.0, want), (d, p, n, eps)
+            assert got[0] >= got[1] >= got[2], (d, p, n, got)
 
 
 def test_sweep_overflows_at_the_first_blocklength_past_the_range():
