@@ -23,19 +23,20 @@ run the same arithmetic as a real-only solver. The builder
 over real parameters, passes their Lagrange duals to this form, and gives
 them real blocks whenever the data allow it.
 
-Standardized form. :class:`ConicProblem` checks each block's constraint
-coefficients once, into one read-only (m, n, n) or (m, n) stack in the
-block's dtype. The solver groups the blocks by kind, size and dtype: the k
-PSD blocks of one size n and dtype share one iterate array, their (batch,
-k, n, n) stack held as (batch * k, n, n), and every LP block shares one
-vector with a slack for each inequality row. The block group is the unit
-of all work: the NT scaling, the corrector, the step lengths and the
-updates run once per group, and so do the products with the constraint
-data (A x, A^T y, the Newton rhs) and the inner products, each over the
-group's coefficients side by side, (m, k, n, n) on a PSD group and one CSR
-on the LP group. Sums over groups add their terms in group order, the
-order in which each group's first block appears: block order, when each
-PSD group holds one block.
+Standardized form. :class:`ConicProblem` takes per block the rows that
+give it an entry and those entries stacked, from the builder or gathered
+from rows, and checks them once into one read-only stack per block group:
+(m, k, n, n) for the k PSD blocks of one size n and dtype, (m, total) for
+the LP blocks side by side. The solver runs on those stacks: a PSD group's
+blocks share one iterate array, their (batch, k, n, n) stack held as
+(batch * k, n, n), and every LP block shares one vector with a slack for
+each inequality row. The block group is the unit of all work: the NT
+scaling, the corrector, the step lengths, the updates, the inner products
+and the products with the constraint data (A x, A^T y, the Newton rhs) run
+once per group, the latter over its stack, or one CSR on the LP group.
+Sums over groups add their terms in group order, the order in which each
+group's first block appears: block order, when each PSD group holds one
+block.
 
 Schur matrix. With W = R R^H on a PSD block, Re tr(A_i W A_j W) is the dot
 product of svec(R^H A_i R) and svec(R^H A_j R), so from _GRAM_MIN_ROWS rows
@@ -142,14 +143,7 @@ class Constraint:
     rhs: float
     sense: str = "eq"
 
-    def __post_init__(self) -> None:
-        if self.sense not in ("eq", "le"):
-            raise ValueError(f"unknown constraint sense {self.sense!r}")
-        if not math.isfinite(self.rhs):
-            raise ValueError("constraint rhs must be finite")
 
-
-@dataclass(frozen=True)
 class ConicProblem:
     """Standard-form block problem; see the module docstring.
 
@@ -157,97 +151,122 @@ class ConicProblem:
     `blocks`; entries are (n, n) Hermitian arrays for SDP blocks (real or
     complex), length-n real vectors for LP blocks, or None for absent blocks.
 
-    Each block's constraint coefficients are stored as one read-only stack,
-    zero where an entry is None, and the rows' `coeffs` are views of it; see
-    :func:`_validated`. The objective keeps its entries.
+    The coefficients are stored once, per block group, and `_stacks` holds
+    each block's view; see :func:`_validated`. `constraints` is made when
+    first read, with views of the stacks as `coeffs`. The objective keeps
+    its entries.
     """
 
-    blocks: tuple
-    objective: tuple
-    constraints: tuple
-    maximize: bool = False
-    # Derived data the solver runs on: per block, the stack of constraint
-    # coefficients; and the rhs and the "le" senses of the rows.
-    _stacks: tuple = field(init=False, repr=False, compare=False)
-    _rhs: np.ndarray = field(init=False, repr=False, compare=False)
-    _le: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, blocks, objective, constraints, maximize: bool = False):
+        blocks = tuple(blocks)
+        constraints = tuple(constraints)  # read once: it may be an iterator
+        coeffs, errors = _by_block(blocks, [tuple(objective), *(c.coeffs for c in constraints)])
+        self._set(blocks, coeffs, [c.rhs for c in constraints],
+                  [c.sense for c in constraints], maximize, errors)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(self.blocks)
-        constraints = tuple(self.constraints)  # read once: it may be an iterator
-        objective, stacks = _validated(
-            blocks, list(self.objective), [list(con.coeffs) for con in constraints]
+    def _set(self, blocks, coeffs, rhs, senses, maximize, errors=()) -> None:
+        """Store per-block pieces, as HermitianProgram.build hands them over."""
+        self.blocks, self.maximize = blocks, maximize
+        self._rhs, self._le = np.array(rhs, dtype=float), np.array(senses) == "le"
+        self.objective, self._groups, self._places, self._given = _validated(
+            blocks, coeffs, rhs, senses, errors)
+        self._stacks = tuple(self._groups[gi][2][:, i] for gi, i in self._places)
+
+    @functools.cached_property
+    def constraints(self) -> tuple:
+        given = [g.tolist() for g in self._given]
+        return tuple(
+            Constraint(tuple(s[i] if g[i] else None for s, g in zip(self._stacks, given)),
+                       rhs, "le" if le else "eq")
+            for i, (rhs, le) in enumerate(zip(self._rhs.tolist(), self._le.tolist()))
         )
-        cons = tuple(
-            Constraint(
-                tuple(None if e is None else s[i] for e, s in zip(con.coeffs, stacks)),
-                float(con.rhs),
-                con.sense,
-            )
-            for i, con in enumerate(constraints)
-        )
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "_stacks", stacks)
-        object.__setattr__(self, "_rhs", np.array([c.rhs for c in cons], dtype=float))
-        object.__setattr__(self, "_le", np.array([c.sense == "le" for c in cons], dtype=bool))
 
 
-def _validated(blocks: tuple, objective: list, constraints: list) -> tuple:
-    """The objective's entries and, per block, the stack of the constraints'
-    entries, checked, read-only and made Hermitian on SDP blocks.
-
-    A stack is zero where an entry is None. It is (m, n, n) on an SDP
-    block, complex when any entry for the block (objective included) is
-    complex and real otherwise, and real (m, n) on an LP block. Entries are
-    made Hermitian in their own dtype, as one stack per dtype, and the
-    objective's entries keep it. A constraint needs a coefficient. Invalid
-    data raise the error of the first bad entry, in row order: the
-    objective first, then the constraints.
-    """
-    rows = [objective, *constraints]
-    errors = []  # (row, block, or -1 for the row itself, message after its name)
+def _by_block(blocks: tuple, rows: list) -> tuple:
+    """The objective and the constraints' entries, `rows`, as pieces per
+    block for :func:`_validated`, one per dtype (real or complex); and the
+    errors of rows of the wrong length and entries of the wrong shape."""
+    errors, given = [], [{} for _ in blocks]  # per block: complex or not -> [(row, entry)]
     for r, row in enumerate(rows):
         if len(row) != len(blocks):
             errors.append((r, -1, f": expected {len(blocks)} block entries, got {len(row)}"))
-            rows[r] = [None] * len(blocks)
-        elif r > 0 and all(e is None for e in row):
-            errors.append((r, len(blocks), " has no coefficients"))
-    entries, stacks = [], []
-    for bi, block in enumerate(blocks):
-        sdp = block.kind == "sdp"
-        shape = (block.size,) * (2 if sdp else 1)
-        given: dict = {}  # complex or not -> ([row], [entry])
-        for r, row in enumerate(rows):
-            if row[bi] is None:
+            continue
+        for bi, (block, e) in enumerate(zip(blocks, row)):
+            if e is None:
                 continue
-            a = np.asarray(row[bi]) if sdp else np.asarray(row[bi], dtype=float).reshape(-1)
-            if a.shape != shape:
+            sdp = block.kind == "sdp"
+            a = np.asarray(e) if sdp else np.asarray(e, dtype=float).reshape(-1)
+            if a.shape != (block.size,) * (2 if sdp else 1):
                 what = "SDP entry shape" if sdp else "LP entry length"
                 errors.append((r, bi, f": {what} {a.shape} != block size"))
                 continue
-            rs, arrays = given.setdefault(a.dtype.kind == "c", ([], []))
-            rs.append(r)
-            arrays.append(a)
-        stack = np.zeros((len(rows), *shape), dtype=complex if True in given else float)
-        entries.append(None)
-        for is_complex, (rs, arrays) in given.items():
-            part = np.array(arrays, dtype=complex if is_complex else float)
+            given[bi].setdefault(a.dtype.kind == "c", []).append((r, a))
+    return [[(np.array([r for r, _ in ra]), np.array([a for _, a in ra], complex if c else float))
+             for c, ra in pieces.items()] for pieces in given], errors
+
+
+def _validated(blocks: tuple, coeffs: list, rhs, senses, errors) -> tuple:
+    """The objective's entries, the block groups, each block's place in
+    them (group, index) and which rows give each block an entry.
+
+    `coeffs` holds per block its pieces (rows, stack): rows in increasing
+    order, 0 for the objective and r + 1 for constraint r, and their entries
+    in one dtype, made Hermitian in it. The groups, in order of their first
+    block, are (PSD, members, stack), read-only and zero where no entry is
+    given: (m, k, n, n) for the PSD blocks of one size and dtype (complex
+    when a piece is), and (m, total) for the LP blocks side by side, even
+    none when only the slack of "le" rows needs the group. Bad data raise
+    the error of the first bad entry in row order, after any of senses and
+    rhs; `errors` holds those found before, as (row, block or -1, message).
+    """
+    for sense, b in zip(senses, rhs):
+        if sense not in ("eq", "le"):
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        if not math.isfinite(b):
+            raise ValueError("constraint rhs must be finite")
+    m, errors, keys = len(rhs), list(errors), {}  # (PSD, size, dtype) -> blocks
+    for bi, (block, pieces) in enumerate(zip(blocks, coeffs)):
+        sdp = block.kind == "sdp"
+        dtype = complex if sdp and any(a.dtype.kind == "c" for _, a in pieces) else float
+        keys.setdefault((sdp, block.size if sdp else 0, dtype), []).append(bi)
+    if "le" in senses:
+        keys.setdefault((False, 0, float), [])
+    groups, places = [], [None] * len(blocks)
+    for gi, ((sdp, n, dtype), members) in enumerate(keys.items()):
+        ends = np.cumsum([0] + [blocks[bi].size for bi in members]).tolist()
+        index = range(len(members)) if sdp else map(slice, ends, ends[1:])
+        for bi, i in zip(members, index):
+            places[bi] = (gi, i)
+        shape = (len(members), n, n) if sdp else (ends[-1],)
+        groups.append((sdp, members, np.zeros((m, *shape), dtype)))
+    objective, given = [None] * len(blocks), [np.zeros(m, dtype=bool) for _ in blocks]
+    for bi, (block, pieces) in enumerate(zip(blocks, coeffs)):
+        gi, i, sdp = *places[bi], block.kind == "sdp"
+        for rows, part in pieces:
+            part = np.asarray(part, complex if sdp and part.dtype.kind == "c" else float)
+            finite = np.isfinite(part)
+            bad = np.flatnonzero(~finite.all(axis=tuple(range(1, part.ndim))))
+            what = f": {block.kind.upper()} entry is not finite"
+            errors.extend((rows[k], bi, what) for k in bad)
             if sdp:
+                part = np.where(finite, part, 0.0) if len(bad) else part
                 for k in np.flatnonzero(_large(part - _h(part), _scale(part))):
-                    errors.append((rs[k], bi, ": SDP entry is not Hermitian"))
+                    errors.append((rows[k], bi, ": SDP entry is not Hermitian"))
                 part = _sym(part)
-            stack[rs] = part
-            if rs[0] == 0:  # the objective, in its own dtype
-                entries[-1] = objective = part[0].copy()
-                objective.setflags(write=False)
-        stack.setflags(write=False)
-        stacks.append(stack[1:])
+            if len(rows) and rows[0] == 0:  # the objective, in its own dtype
+                objective[bi] = part[0].copy()
+                objective[bi].setflags(write=False)
+                rows, part = rows[1:], part[1:]
+            groups[gi][2][rows - 1, i] = part
+            given[bi][rows - 1] = True
+    for r in np.flatnonzero(~functools.reduce(np.logical_or, given, np.zeros(m, dtype=bool))):
+        errors.append((r + 1, len(blocks), " has no coefficients"))
     if errors:
         r, _, msg = min(errors, key=lambda e: e[:2])
         raise ValueError((f"constraint {r - 1}" if r else "objective") + msg)
-    return tuple(entries), tuple(stacks)
+    for _, _, stack in groups:
+        stack.setflags(write=False)
+    return tuple(objective), tuple(groups), tuple(places), tuple(given)
 
 
 @dataclass(frozen=True)
@@ -326,9 +345,9 @@ def solve_many(problems, **options) -> list:
 def _groups(problems: list) -> list:
     """The indices of the problems that run in lockstep, one list per group.
 
-    A group shares blocks, sense, constraint senses and each block's stack
-    of constraint coefficients, compared by dtype and bytes: a None entry
-    and an explicit zero one are the same.
+    A group shares blocks, sense, constraint senses and each block group's
+    members and stack of constraint coefficients, compared by dtype and
+    bytes: a None entry and an explicit zero one are the same.
     """
     if len(problems) == 1:
         return [[0]]
@@ -338,7 +357,7 @@ def _groups(problems: list) -> list:
             p.blocks,
             p.maximize,
             p._le.tobytes(),
-            tuple((s.dtype, s.tobytes()) for s in p._stacks),
+            tuple((tuple(bis), s.dtype, s.tobytes()) for _, bis, s in p._groups),
         )
         groups.setdefault(key, []).append(i)
     return list(groups.values())
@@ -350,30 +369,29 @@ def _groups(problems: list) -> list:
 
 class _BlockGroup:
     """Blocks whose iterates share one array of `rows` items per instance:
-    the k PSD blocks of one size n and dtype, (batch * k, n, n), with their
-    stacks side by side, `stack` (m, k, n, n), and its float64 view `flat`
-    (m, k*n*n, or 2*k*n*n on complex blocks); or every LP block and the
-    slack of the "le" rows, one (total,) item per instance, with the CSR
-    (m, total) of their stacks side by side, its transpose and its CSC. The
-    batch * k rows are the (batch, k, n, n) stack of the blocks flattened,
-    so that each per-matrix step sees three axes, and an instance's rows
-    viewed as one vector line up with `flat`.
+    the k PSD blocks of one size n and dtype, (batch * k, n, n), with the
+    problem's stack of the group, `stack` (m, k, n, n), and its float64 view
+    `flat` (m, k*n*n, or 2*k*n*n on complex blocks); or every LP block and
+    the slack of the "le" rows, one (total,) item per instance, with the CSR
+    (m, total) of the group's stack and the slack, its transpose and its
+    CSC. The batch * k rows are the (batch, k, n, n) stack of the blocks
+    flattened, so that each per-matrix step sees three axes, and an
+    instance's rows viewed as one vector line up with `flat`.
 
     Given the first column `col` of its blocks in the Schur Gram matrix, a
     PSD group also keeps, per block, the rows whose coefficient on it is not
     zero (`touched`: slice(None) when every row is), their coefficients and
     its columns `cols`; `end` is the column past its last."""
 
-    def __init__(self, members: list, stacks: list, m: int, le_rows=None, col=None):
+    def __init__(self, members: list, stack: np.ndarray, le_rows=None, col=None):
         self.members = members
         self.sdp = le_rows is None
         self.end = col
+        m = len(stack)
         if self.sdp:
-            # One block's stack is used as it is, not copied.
-            self.stack = stacks[0][:, None] if len(stacks) == 1 else np.stack(stacks, 1)
-            self.flat = self.stack.reshape(m, -1).view(float)
-            self.rows, self.item = len(stacks), stacks[0].shape[1:]
-            self.dtype = stacks[0].dtype
+            self.stack = stack
+            self.flat = stack.reshape(m, -1).view(float)
+            self.rows, self.item, self.dtype = stack.shape[1], stack.shape[2:], stack.dtype
             if col is None:
                 return
             self.svec = _svec(self.item[0], self.dtype.kind == "c")
@@ -384,12 +402,11 @@ class _BlockGroup:
             self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(self.rows)]
             self.end = col + self.rows * width
             return
-        user = np.concatenate([np.zeros((m, 0)), *stacks], axis=1)
-        rows, cols = np.nonzero(user)
-        n = user.shape[1]
+        rows, cols = np.nonzero(stack)
+        n = stack.shape[1]
         self.rows, self.item, self.dtype = 1, (n + len(le_rows),), np.dtype(float)
         # The slack: one column per "le" row, with coefficient 1.
-        data = np.concatenate((user[rows, cols], np.ones(len(le_rows))))
+        data = np.concatenate((stack[rows, cols], np.ones(len(le_rows))))
         rows = np.concatenate((rows, le_rows))
         cols = np.concatenate((cols, np.arange(n, self.item[0])))
         self.mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, *self.item))
@@ -424,38 +441,26 @@ class _Standardized:
     def __init__(self, problems: list):
         first = problems[0]
         self.sign = -1.0 if first.maximize else 1.0
-        self.m = m = len(first.constraints)
+        self.m = m = len(first._rhs)
         self.b = np.stack([p._rhs for p in problems])
-        stacks = first._stacks
-        row_sq = sum(np.einsum("ij,ij->i", f, f) for f in map(_flat, stacks))  # |row|^2
-        keys: dict = {}  # (PSD, size, dtype) -> blocks; the LP blocks share one
-        for bi, (block, stack) in enumerate(zip(first.blocks, stacks)):
-            sdp = block.kind == "sdp"
-            keys.setdefault((sdp, block.size if sdp else 0, stack.dtype), []).append(bi)
+        row_sq = sum(np.einsum("ij,ij->i", f, f) for f in map(_flat, first._stacks))  # |row|^2
         le_rows = np.flatnonzero(first._le)
-        if len(le_rows):
-            keys.setdefault((False, 0, np.dtype(float)), [])
-        self.pure_lp = not any(sdp for sdp, _, _ in keys)
+        self.pure_lp = not any(sdp for sdp, _, _ in first._groups)
         # The Schur Gram matrix of each instance (see _SchurSolver), from
         # _GRAM_MIN_ROWS rows on; rows that do not touch a block stay 0 in
         # its columns.
         gram = not self.pure_lp and m >= _GRAM_MIN_ROWS
         self.groups, col = [], 0 if gram else None
-        for (sdp, _, _), bis in keys.items():
-            g = _BlockGroup(bis, [stacks[bi] for bi in bis], m, None if sdp else le_rows, col)
+        for sdp, bis, stack in first._groups:
+            g = _BlockGroup(bis, stack, None if sdp else le_rows, col)
             self.groups.append(g)
             col = g.end
         self.gram = np.zeros((len(problems), m, col)) if gram else None
         self.nu = sum(b.size for b in first.blocks) + len(le_rows)
         # Where each block sits in an instance's rows of its group's array:
         # (group, row, index in the row).
-        self.places = [None] * len(stacks)
-        for gi, g in enumerate(self.groups):
-            start = 0
-            for j, bi in enumerate(g.members):
-                end = start + stacks[bi].shape[1]
-                self.places[bi] = (gi, j, ...) if g.sdp else (gi, 0, slice(start, end))
-                start = end
+        sdp = [g.sdp for g in self.groups]
+        self.places = [(gi, i, ...) if sdp[gi] else (gi, 0, i) for gi, i in first._places]
         self.objective = self.grouped(list(zip(*(p.objective for p in problems))))
         for c in self.objective:
             c *= self.sign
@@ -725,7 +730,7 @@ def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
     """Solve the problems of one group in lockstep; see :func:`solve_many`."""
-    if not problems[0].constraints:
+    if not len(problems[0]._rhs):
         # Nothing constrains the cone variable: unbounded below unless C = 0,
         # and even then nothing useful to report. Declared, not solved.
         value = math.inf if problems[0].maximize else -math.inf
@@ -1180,21 +1185,21 @@ class HermitianProgram:
         kept = _real_rows(blocks, objective, coeffs, rhs)
         real = kept is not None
         self._kept = kept if real else np.arange(self._n_params)
-        entries = [[None] * len(blocks) for _ in range(self._n_params)]
-        for j, (rows, stack) in enumerate(coeffs):
+        # Per block, -F0 as row 0, then the kept rows with a nonzero
+        # coefficient on it, as rows 1, 2, ... in the kept order.
+        row_of = np.full(self._n_params, -1)
+        row_of[self._kept] = np.arange(1, len(self._kept) + 1)
+        pieces = []
+        for c, (rows, stack) in zip(objective, coeffs):
             if real:
-                stack = stack.real
-            nonzero = np.any(stack != 0, axis=tuple(range(1, stack.ndim)))
-            for k, f in zip(rows[nonzero], stack[nonzero]):
-                entries[k][j] = f
-        return ConicProblem(
-            blocks=tuple(blocks),
-            objective=tuple(np.real(c) if real else c for c in objective),
-            constraints=tuple(
-                Constraint(tuple(entries[k]), rhs[k]) for k in self._kept
-            ),
-            maximize=True,
-        )
+                c, stack = np.real(c), stack.real
+            keep = (row_of[rows] > 0) & np.any(stack != 0, axis=tuple(range(1, stack.ndim)))
+            if not keep.all():
+                rows, stack = rows[keep], stack[keep]
+            pieces.append([(np.zeros(1, dtype=int), c[None]), (row_of[rows], stack)])
+        problem = ConicProblem.__new__(ConicProblem)
+        problem._set(tuple(blocks), pieces, rhs[self._kept], ["eq"] * len(self._kept), True)
+        return problem
 
     def extract(self, solution: ConicSolution, expr: Affine) -> np.ndarray:
         """The value of an expression at the parameters t of a solution of the

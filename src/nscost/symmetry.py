@@ -30,8 +30,9 @@ import math
 
 import numpy as np
 
-from .conic import HermitianProgram, SolverFailure, dump_problem, solve, solver_options
-from .programs import CostResult, _check_eps, cost_result_from_trv
+from .conic import HermitianProgram, solver_options
+from .conic import solve  # unused here; perfbench/tracing.py patches this name
+from .programs import CostResult, _check_eps, _run, cost_result_from_trv
 from .qmat import row_stochastic
 
 _NORMALIZATION_TOL = 1e-9
@@ -202,16 +203,7 @@ def classical_cost_lp(
     hp.add_lmi(y - mat.reshape(-1) + v.map(np.tile, n_in))
     hp.add_lmi(eps - y.map(lambda a: a.reshape(n_in, n_out).sum(axis=1)))
     hp.minimize(v.map(np.sum))
-    problem = hp.build()
-    if dump_path is not None:
-        dump_problem(problem, dump_path)
-    sol = solve(problem, **solve_kw)
-    if sol.status != "optimal":
-        raise SolverFailure(
-            f"classical cost LP finished with status '{sol.status}'",
-            status=sol.status,
-        )
-    return cost_result_from_trv(hp.value(sol))
+    return cost_result_from_trv(_run(hp, dump_path=dump_path, **solve_kw))
 
 
 def depolarizing_mutual_info(d: int, p: float) -> float:

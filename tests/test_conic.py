@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from nscost import conic
+from nscost import conic, programs, symmetry
 from nscost.conic import (
     Block,
     ConicProblem,
@@ -20,7 +20,7 @@ from nscost.conic import (
     solve,
     solve_many,
 )
-from nscost.qmat import hermitian_basis, lift, make_channel
+from nscost.qmat import QuantumChannel, hermitian_basis, lift, make_channel
 
 
 def random_problem(rng, with_ineq=True, complex=False):
@@ -267,6 +267,40 @@ class TestSolveBasics:
             ConicProblem(blocks, (np.eye(3), np.ones(2)), tuple(rows))
         with pytest.raises(ValueError, match="constraint 1: expected 2 block entries"):
             ConicProblem(blocks, (None, None), (valid, Constraint((None,), 1.0)))
+
+    def test_validation_rejects_non_finite_entries(self):
+        # Through the row constructor, in row order: the objective first.
+        blocks = (Block("sdp", 2), Block("lp", 2))
+        nan_sdp = np.array([[1.0, math.nan], [math.nan, 1.0]])
+        rows = (
+            Constraint((np.eye(2), np.array([1.0, math.inf])), 1.0),
+            Constraint((nan_sdp, None), 1.0),
+        )
+        with pytest.raises(ValueError, match="constraint 0: LP entry is not finite"):
+            ConicProblem(blocks, (np.eye(2), np.ones(2)), rows)
+        with pytest.raises(ValueError, match="objective: SDP entry is not finite"):
+            ConicProblem(blocks, (nan_sdp, np.ones(2)), rows)
+        with pytest.raises(ValueError, match="constraint 1: SDP entry is not finite"):
+            ConicProblem(blocks, (np.eye(2), np.ones(2)),
+                         (Constraint((np.eye(2), np.ones(2)), 1.0), rows[1]))
+        # Through the builder: a basis element and an offset.
+        prog = HermitianProgram()
+        x = prog.variable([np.eye(2), np.array([[0.0, math.inf], [math.inf, 0.0]])])
+        prog.add_lmi(x)
+        prog.minimize(x.map(np.trace))
+        with pytest.raises(ValueError, match="constraint 1: SDP entry is not finite"):
+            prog.build()
+        prog.add_lmi(x - nan_sdp)
+        with pytest.raises(ValueError, match="objective: SDP entry is not finite"):
+            prog.build()
+        # Through the JSON reader, which accepts the NaN and Infinity tokens.
+        text = (
+            '{"blocks": [{"kind": "sdp", "size": 2}], "objective": [[[1, 0], [0, 1]]],'
+            ' "constraints": [{"coeffs": [[[1, 0], [0, 1]]], "rhs": 1.0},'
+            ' {"coeffs": [[[Infinity, 0], [0, NaN]]], "rhs": 0.0}]}'
+        )
+        with pytest.raises(ValueError, match="constraint 1: SDP entry is not finite"):
+            problem_from_json(json.loads(text))
 
     def test_constraints_may_be_a_generator(self):
         # min x1 + 2 x2 s.t. x1 + x2 = 1, x >= 0: the rows are read once.
@@ -840,13 +874,19 @@ class TestBlockGroups:
     """The solver runs blocks of one kind, size and dtype as one array."""
 
     def test_groups_by_kind_size_and_dtype(self):
-        std = conic._Standardized(grouped_batch(1))
+        problem = grouped_batch(1)[0]
+        std = conic._Standardized([problem])
         assert [(g.members, g.rows, g.item, g.dtype) for g in std.groups] == [
             ([0, 2, 6], 3, (3, 3), np.float64),
             ([1, 5], 1, (3 + 2 + 3,), np.float64),  # the LP blocks and the slack
             ([3], 1, (3, 3), np.complex128),
             ([4], 1, (2, 2), np.float64),
         ]
+        # A PSD group runs on the problem's one stack of its coefficients,
+        # of which each block's stack is a view: nothing is copied.
+        for g in std.groups:
+            if g.sdp:
+                assert all(np.shares_memory(g.stack, problem._stacks[bi]) for bi in g.members)
 
     @pytest.mark.parametrize("order", [(5, 3, 6, 4, 0, 1, 2), (6, 5, 4, 3, 2, 1, 0)])
     def test_block_order_does_not_change_the_solution(self, order):
@@ -950,13 +990,45 @@ class TestBlockGroups:
         ]
         close(std.dots(grouped(a), grouped(b)), want)
 
-    def test_batch_is_bitwise_its_solves(self):
+    def test_batch_is_bitwise_its_solves(self, monkeypatch):
         batch = grouped_batch(4)
         assert conic._groups(batch) == [[0, 1, 2, 3]]
         sols = solve_many(batch)
         assert all(sol.status == "optimal" for sol in sols)
         for problem, sol in zip(batch, sols):
             assert_bitwise_equal(sol, solve(problem))
+        # HermitianProgram.build hands each block's rows over whole; the row
+        # constructor, given the built rows, stores the same bytes, and both
+        # problems solve bitwise alike.
+        built = []
+        solve_ = programs.solve
+        monkeypatch.setattr(programs, "solve", lambda p, **kw: built.append(p) or solve_(p, **kw))
+        depol = make_channel("depolarizing", d=2, p=0.15)
+        damping = make_channel("amplitude_damping", r=0.3)
+        u = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+        lift_u = np.kron(np.eye(2), u)
+        rotated = QuantumChannel(2, 2, lift_u @ damping.choi @ lift_u.conj().T)
+        programs.one_shot_cost_ns(damping, 0.05)
+        programs.zero_error_cost(depol)
+        programs.zero_error_cost(rotated)  # complex blocks
+        programs.min_error_noiseless(2, make_channel("depolarizing", d=3, p=0.15), "NS_PPT")
+        programs.min_error_simulation(damping, depol, "NS")
+        symmetry.classical_cost_lp(np.array([[0.9, 0.1], [0.2, 0.8]]), 0.05)
+        assert len(built) == 6
+        for problem in built:
+            assert "constraints" not in vars(problem)  # made only when read
+            rows = ConicProblem(problem.blocks, problem.objective, problem.constraints,
+                                problem.maximize)
+            for (sdp, bis, stack), (sdp_r, bis_r, stack_r) in zip(
+                problem._groups, rows._groups, strict=True
+            ):
+                assert (sdp, bis, stack.dtype, stack.shape) == (
+                    sdp_r, bis_r, stack_r.dtype, stack_r.shape)
+                assert stack.tobytes() == stack_r.tobytes()
+            for name in ("_rhs", "_le", "_given"):
+                assert np.asarray(getattr(problem, name)).tobytes() == (
+                    np.asarray(getattr(rows, name)).tobytes()), name
+            assert_bitwise_equal(solve(rows), solve(problem))
 
 
 def psd_power(a, p):
