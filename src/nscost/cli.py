@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import os
 import sys
@@ -364,7 +365,9 @@ def _add_channel_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=float, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="nscost",
         description="Simulation costs of quantum channels under "
@@ -437,7 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation and return its exit code."""
+    """Execute one CLI invocation and return its exit code.
+
+    The parser is built once per process, at the first call."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -72,6 +72,7 @@ bitwise-identical iterate sequences.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -154,7 +155,8 @@ class ConicProblem:
     The coefficients are stored once, per block group, and `_stacks` holds
     each block's view; see :func:`_validated`. `constraints` is made when
     first read, with views of the stacks as `coeffs`. The objective keeps
-    its entries.
+    its entries. :meth:`with_objective` makes the same problem with another
+    objective, sharing this one's stored constraint data.
     """
 
     def __init__(self, blocks, objective, constraints, maximize: bool = False):
@@ -171,6 +173,28 @@ class ConicProblem:
         self.objective, self._groups, self._places, self._given = _validated(
             blocks, coeffs, rhs, senses, errors)
         self._stacks = tuple(self._groups[gi][2][:, i] for gi, i in self._places)
+
+    def with_objective(self, objective) -> ConicProblem:
+        """This problem with `objective`, a sequence parallel to `blocks`, in
+        place of its own: the objective-only constructor.
+
+        The new problem shares this one's read-only group stacks, rhs,
+        senses and given-masks, so only the objective is checked, by the
+        checks :func:`_validated` makes on it (see :func:`_entries`): shape,
+        finite, Hermitian to 1e-10 relative, made Hermitian. A block keeps
+        its dtype: on a real PSD block an entry must pass the conjugation
+        test of :class:`HermitianProgram`, and its real part is kept.
+        """
+        coeffs, errors = _by_block(self.blocks, [tuple(objective)])
+        entries = [None] * len(self.blocks)
+        for bi, (block, stack, pieces) in enumerate(zip(self.blocks, self._stacks, coeffs)):
+            for rows, part in pieces:
+                entries[bi] = _frozen(_entries(block, rows, part, stack.dtype.kind != "c",
+                                               bi, errors)[0])
+        _raise_first(errors)
+        problem = copy.copy(self)
+        problem.objective = tuple(entries)
+        return problem
 
     @functools.cached_property
     def constraints(self) -> tuple:
@@ -241,32 +265,63 @@ def _validated(blocks: tuple, coeffs: list, rhs, senses, errors) -> tuple:
         groups.append((sdp, members, np.zeros((m, *shape), dtype)))
     objective, given = [None] * len(blocks), [np.zeros(m, dtype=bool) for _ in blocks]
     for bi, (block, pieces) in enumerate(zip(blocks, coeffs)):
-        gi, i, sdp = *places[bi], block.kind == "sdp"
+        gi, i = places[bi]
+        stack = groups[gi][2]
         for rows, part in pieces:
-            part = np.asarray(part, complex if sdp and part.dtype.kind == "c" else float)
-            finite = np.isfinite(part)
-            bad = np.flatnonzero(~finite.all(axis=tuple(range(1, part.ndim))))
-            what = f": {block.kind.upper()} entry is not finite"
-            errors.extend((rows[k], bi, what) for k in bad)
-            if sdp:
-                part = np.where(finite, part, 0.0) if len(bad) else part
-                for k in np.flatnonzero(_large(part - _h(part), _scale(part))):
-                    errors.append((rows[k], bi, ": SDP entry is not Hermitian"))
-                part = _sym(part)
+            part = _entries(block, rows, part, stack.dtype.kind != "c", bi, errors)
             if len(rows) and rows[0] == 0:  # the objective, in its own dtype
-                objective[bi] = part[0].copy()
-                objective[bi].setflags(write=False)
+                objective[bi] = _frozen(part[0])
                 rows, part = rows[1:], part[1:]
-            groups[gi][2][rows - 1, i] = part
+            stack[rows - 1, i] = part
             given[bi][rows - 1] = True
     for r in np.flatnonzero(~functools.reduce(np.logical_or, given, np.zeros(m, dtype=bool))):
         errors.append((r + 1, len(blocks), " has no coefficients"))
-    if errors:
-        r, _, msg = min(errors, key=lambda e: e[:2])
-        raise ValueError((f"constraint {r - 1}" if r else "objective") + msg)
+    _raise_first(errors)
     for _, _, stack in groups:
         stack.setflags(write=False)
     return tuple(objective), tuple(groups), tuple(places), tuple(given)
+
+
+def _entries(block: Block, rows, part: np.ndarray, real: bool, bi: int, errors: list):
+    """The entries `part` that `rows` give block `bi`, checked: each in its
+    own dtype, or real when `real` says the block's group is, and made
+    Hermitian on a PSD block. The errors of entries that are not finite,
+    not Hermitian, or complex on a real block (their imaginary part fails
+    the conjugation test of :class:`HermitianProgram`; the real part of
+    any other is kept) go to `errors`, as :func:`_validated` lists them.
+    """
+    sdp = block.kind == "sdp"
+    part = np.asarray(part, complex if sdp and part.dtype.kind == "c" else float)
+    finite = np.isfinite(part)
+    bad = np.flatnonzero(~finite.all(axis=tuple(range(1, part.ndim))))
+    what = f": {block.kind.upper()} entry is not finite"
+    errors.extend((rows[k], bi, what) for k in bad)
+    if not sdp:
+        return part
+    part = np.where(finite, part, 0.0) if len(bad) else part
+    if real and part.dtype.kind == "c":
+        for k in np.flatnonzero(_imaginary(part)):
+            errors.append((rows[k], bi, ": SDP entry is complex on a real block"))
+        part = part.real
+    for k in np.flatnonzero(_large(part - _h(part), _scale(part))):
+        errors.append((rows[k], bi, ": SDP entry is not Hermitian"))
+    return _sym(part)
+
+
+def _frozen(entry: np.ndarray) -> np.ndarray:
+    """A read-only copy of an objective entry."""
+    entry = entry.copy()
+    entry.setflags(write=False)
+    return entry
+
+
+def _raise_first(errors: list) -> None:
+    """Raise the error of the first bad entry in row order, if any: errors
+    are (row, block or -1, message), row 0 the objective and r + 1
+    constraint r."""
+    if errors:
+        r, _, msg = min(errors, key=lambda e: e[:2])
+        raise ValueError((f"constraint {r - 1}" if r else "objective") + msg)
 
 
 @dataclass(frozen=True)
@@ -1051,6 +1106,13 @@ def _large(part: np.ndarray, scale) -> np.ndarray:
     return np.abs(part).max(axis=(-2, -1)) > 1e-10 * scale
 
 
+def _imaginary(c: np.ndarray) -> np.ndarray:
+    """The conjugation test of :class:`HermitianProgram` on PSD entries:
+    whether an imaginary part is above 1e-10 relative to max(1, max |c|),
+    over the last two axes."""
+    return _large(c.imag, _scale(c))
+
+
 class Affine:
     """An affine function offset + sum_k t_k B_k of a program's real
     parameters t, with values of one shape (a number, vector or matrix).
@@ -1141,7 +1203,8 @@ class HermitianProgram:
 
     Imaginary or real parts below 1e-10 relative to max(1, max |A|) count
     as zero in the conjugation test, so data that carry rounding-level
-    imaginary parts still take real blocks.
+    imaginary parts still take real blocks. :meth:`is_real` is the test on
+    the objective, the one part that depends on F0.
     """
 
     def __init__(self):
@@ -1167,15 +1230,28 @@ class HermitianProgram:
         """Set the number-valued objective."""
         self._objective = expr
 
+    def built_objective(self) -> list:
+        """-F0 of each LMI, shaped as its block's entry: the objective that
+        :meth:`build` gives the problem, before the conjugation test."""
+        return [-lmi.offset.reshape(-1 if lmi.offset.ndim < 2 else lmi.offset.shape)
+                for lmi in self._lmis]
+
+    @staticmethod
+    def is_real(objective) -> bool:
+        """Whether a built objective passes the conjugation test: no PSD
+        entry has an imaginary part above 1e-10 relative. :meth:`build`
+        gives real blocks only then, and only if the rows pass too; the rows
+        do not depend on F0."""
+        return not any(c.ndim == 2 and _imaginary(c) for c in objective)
+
     def build(self) -> ConicProblem:
         # Per LMI: its block, -F0 and, for the parameters of the variables
         # it involves, their indices and the stack of their F_k.
-        blocks, objective, coeffs = [], [], []
-        for lmi in self._lmis:
-            lp = lmi.offset.ndim < 2
-            shape = (lmi.offset.size,) if lp else lmi.offset.shape
-            blocks.append(Block("lp" if lp else "sdp", shape[0]))
-            objective.append(-lmi.offset.reshape(shape))
+        blocks, coeffs = [], []
+        objective = self.built_objective()
+        for lmi, c in zip(self._lmis, objective):
+            shape = c.shape
+            blocks.append(Block("lp" if c.ndim < 2 else "sdp", shape[0]))
             rows = [np.arange(s, s + len(st)) for s, st in lmi.terms.items()]
             stack = [st.reshape(len(st), *shape) for st in lmi.terms.values()]
             coeffs.append((np.concatenate(rows), np.concatenate(stack)))
@@ -1223,9 +1299,8 @@ def _real_rows(blocks: list, objective: list, coeffs: list, rhs: np.ndarray):
     `coeffs` holds per block the rows it enters and their coefficients,
     which are tested as one stack.
     """
-    for block, c in zip(blocks, objective):
-        if block.kind == "sdp" and _large(c.imag, _scale(c)):
-            return None
+    if not HermitianProgram.is_real(objective):
+        return None
     n_rows = len(rhs)
     # Per row: some PSD coefficient has an imaginary part; every PSD
     # coefficient is purely imaginary and Hermitian, hence antisymmetric;

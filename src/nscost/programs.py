@@ -152,15 +152,15 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
     )
 
 
-def _run_all(programs: list, dump_path: str | None = None, **solve_kw) -> list:
-    """Build the programs, optionally dump the first, and solve them in one
-    batch; demand optimal statuses and return the objective of each at its
-    solution's parameters.
+def _run_all(programs: list, problems: list, dump_path: str | None = None,
+             **solve_kw) -> list:
+    """Solve the built `problems`, after dumping the first if asked, in one
+    batch; demand optimal statuses and return the objective of each of
+    `programs` at its problem's solution.
 
     A single problem goes through `solve`, the per-problem entry point that
     perfbench's tracer wraps; more go through one `solve_many` call.
     """
-    problems = [program.build() for program in programs]
     if dump_path is not None and problems:
         dump_problem(problems[0], dump_path)
     if len(problems) == 1:
@@ -177,7 +177,7 @@ def _run_all(programs: list, dump_path: str | None = None, **solve_kw) -> list:
 
 def _run(program: HermitianProgram, **solve_kw) -> float:
     """The objective of one program at its solution; see :func:`_run_all`."""
-    return _run_all([program], **solve_kw)[0]
+    return _run_all([program], [program.build()], **solve_kw)[0]
 
 
 def _normalize_code(code: str) -> str:
@@ -389,11 +389,30 @@ def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
 
 def _zero_error_trvs(channels: list, **solve_kw) -> list:
     """Optimal values of min { tr V : J_N <= 1_A (x) V } for channels of one
-    shape, solved in one batch."""
+    shape, solved in one batch.
+
+    J_N enters the built program only as its objective -F0, so the program
+    is built once for each outcome of the conjugation test on -F0 (real or
+    complex blocks). Every later channel with the same outcome takes that
+    build with its own objective
+    (:meth:`nscost.conic.ConicProblem.with_objective`), and that build's
+    program, whose offset and kept rows are its own, gives its value.
+    """
     dims = {(n.dim_in, n.dim_out) for n in channels}
     if len(dims) > 1:
         raise ValueError(f"channel dimensions differ: {sorted(dims)}")
-    return _run_all([_zero_error_program(n)[0] for n in channels], **solve_kw)
+    built, programs, problems = {}, [], []  # built: real or not -> (program, problem)
+    for n in channels:
+        hp = _zero_error_program(n)[0]
+        objective = hp.built_objective()
+        real = HermitianProgram.is_real(objective)
+        if real in built:
+            problems.append(built[real][1].with_objective(objective))
+        else:
+            built[real] = hp, hp.build()
+            problems.append(built[real][1])
+        programs.append(built[real][0])
+    return _run_all(programs, problems, **solve_kw)
 
 
 def _zero_error_trv(n: QuantumChannel, **solve_kw) -> float:
@@ -482,9 +501,13 @@ def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResul
 def zero_error_costs(channels, **solve_kw) -> list:
     """Zero-error NS-assisted simulation costs of channels of one shape.
 
-    Builds one program per channel (see :func:`zero_error_cost`) and solves
-    them with one :func:`nscost.conic.solve_many` call; only the first
-    program is dumped. The costs come back in input order.
+    The program (see :func:`zero_error_cost`) depends on the channel only
+    through its objective, so it is built once for the channels that give
+    real blocks and once for those that give complex ones; every other
+    channel shares its kind's build, with its own objective. All are solved
+    with one :func:`nscost.conic.solve_many` call, and only the first
+    problem is dumped. The costs come back in input order, bitwise those of
+    :func:`zero_error_cost` on each channel.
 
     Raises:
         ValueError: if the channels' dimensions differ.

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 
+import nscost.conic
 import nscost.programs
 import nscost.symmetry
 from nscost.analytic import ClosedForm
@@ -195,14 +196,35 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
     assert run(["cost", "--family", "depolarizing", "--p", "0.15",
                 "--gap-tol", "1e-9"]) == 0
     assert calls == [{"gap_tol": 1e-9}]
-    # figure3 solves each family's grid in one batch: four families at
+    # The parser is shared between calls; a flag given once does not stay.
+    calls.clear()
+    assert run(["cost", "--family", "depolarizing", "--p", "0.15"]) == 0
+    assert calls == [{}]
+    # figure3 solves each family's grid in one batch, and builds its
+    # program once (every family's channels are real): four families at
     # d = 2, two at d = 3.
+    builds = []
+    build_ = nscost.conic.HermitianProgram.build
+    monkeypatch.setattr(nscost.conic.HermitianProgram, "build",
+                        lambda hp: builds.append(hp) or build_(hp))
     for d, families in ((2, 4), (3, 2)):
         batches.clear()
+        builds.clear()
         assert run(["figure3", "--d", str(d), "--grid", "5", "--jobs", "1",
                     "--out", str(tmp_path / "f3.csv")]) == 0
         assert batches == [5] * families
+        assert len(builds) == families
     capsys.readouterr()
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    argv = ["zero-error", "--family", "depolarizing", "--p", "0.2"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["zero-error", "--p", "0.2", "--no-such-flag"]) == 2
+    assert "usage" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_help_exits_zero(capsys):

@@ -302,6 +302,54 @@ class TestSolveBasics:
         with pytest.raises(ValueError, match="constraint 1: SDP entry is not finite"):
             problem_from_json(json.loads(text))
 
+    def test_with_objective_is_the_build_of_its_program(self):
+        # Programs that differ only in F0 share the constraint data: the
+        # objective-only constructor gives bitwise the other's build.
+        lift_u = np.kron(np.eye(2), np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0))
+
+        def damping(r, rotate=False):
+            choi = make_channel("amplitude_damping", r=r).choi
+            return lift_u @ choi @ lift_u.conj().T if rotate else choi
+
+        for first, other, dtype in (
+            (make_channel("depolarizing", d=2, p=0.15).choi, damping(0.3), float),
+            (damping(0.3, rotate=True), damping(0.6, rotate=True), complex),
+        ):
+            template = maxinfo_dual(first)[0].build()
+            prog = maxinfo_dual(other)[0]
+            shared = template.with_objective(prog.built_objective())
+            built = prog.build()
+            assert shared._groups is template._groups
+            assert shared._rhs is template._rhs and shared._given is template._given
+            assert template.objective[0].tobytes() != shared.objective[0].tobytes()
+            assert template._stacks[0].dtype == shared.objective[0].dtype == dtype
+            assert not shared.objective[0].flags.writeable
+            assert shared.objective[0].tobytes() == built.objective[0].tobytes()
+            assert_bitwise_equal(solve(shared), solve(built))
+
+    def test_with_objective_checks_the_objective(self):
+        # The objective goes through the validator's checks on row 0, and a
+        # real block takes no complex entry.
+        template = maxinfo_dual(make_channel("depolarizing", d=2, p=0.15).choi)[0].build()
+        assert template._stacks[0].dtype == float
+        bad = np.eye(4)
+        bad[0, 1] = math.nan
+        with pytest.raises(ValueError, match="objective: SDP entry is not finite"):
+            template.with_objective([bad])
+        bad[0, 1] = 1.0
+        with pytest.raises(ValueError, match="objective: SDP entry is not Hermitian"):
+            template.with_objective([bad])
+        bad = np.eye(4, dtype=complex)
+        bad[0, 1], bad[1, 0] = 1j, -1j
+        with pytest.raises(ValueError, match="objective: SDP entry is complex on a real block"):
+            template.with_objective([bad])
+        with pytest.raises(ValueError, match="objective: expected 1 block entries, got 2"):
+            template.with_objective([np.eye(4), None])
+        # Imaginary parts the conjugation test counts as zero are dropped.
+        bad[0, 1], bad[1, 0] = 1e-12j, -1e-12j
+        kept = template.with_objective([bad]).objective[0]
+        assert kept.dtype == float and np.array_equal(kept, np.eye(4))
+
     def test_constraints_may_be_a_generator(self):
         # min x1 + 2 x2 s.t. x1 + x2 = 1, x >= 0: the rows are read once.
         prob = ConicProblem(

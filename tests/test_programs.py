@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import nscost.conic
 import nscost.programs
 import nscost.symmetry
 from nscost.conic import SolverFailure, problem_from_json, solve
@@ -281,18 +282,27 @@ _FIGURE3_FAMILIES = {
 
 
 @pytest.mark.parametrize("family", sorted(_FIGURE3_FAMILIES))
-def test_zero_error_costs_match_single_solves(family):
+def test_zero_error_costs_match_single_solves(family, monkeypatch):
     channels = [_FIGURE3_FAMILIES[family](i / 20) for i in range(21)]
     if family == "erasure":
         # The 2 -> 3 family: a random complex channel of the same shape
         # joins the list, and solves in a group of its own.
         channels.insert(7, random_channel(np.random.default_rng(21), 2, 3, 2))
         assert not np.allclose(channels[7].choi.imag, 0.0)
+    # The batch builds the program once per real/complex decision; every
+    # other channel reuses that build with its own objective.
+    builds = []
+    build_ = nscost.conic.HermitianProgram.build
+    monkeypatch.setattr(nscost.conic.HermitianProgram, "build",
+                        lambda hp: builds.append(hp) or build_(hp))
     batch = zero_error_costs(channels)
+    assert len(builds) == (2 if family == "erasure" else 1)
     assert len(batch) == len(channels)
     for channel, got in zip(channels, batch):
         want = zero_error_cost(channel)
-        assert abs(got.half_log_trv - want.half_log_trv) <= 1e-12
+        for name in ("tr_v_opt", "half_log_trv"):
+            assert np.float64(getattr(got, name)).tobytes() == (
+                np.float64(getattr(want, name)).tobytes()), name
         assert got.m_star == want.m_star
 
 
