@@ -395,8 +395,8 @@ def _zero_error_trvs(channels: list, **solve_kw) -> list:
     is built once for each outcome of the conjugation test on -F0 (real or
     complex blocks). Every later channel with the same outcome takes that
     build with its own objective
-    (:meth:`nscost.conic.ConicProblem.with_objective`), and that build's
-    program, whose offset and kept rows are its own, gives its value.
+    (:meth:`nscost.conic.ConicProblem.with_objective`), and its value is
+    read from that build's program, which has the same offset and kept rows.
     """
     dims = {(n.dim_in, n.dim_out) for n in channels}
     if len(dims) > 1:
