@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .programs import CertificatePair
+from .qmat import _unit_interval
 
 _FAMILIES = ("depolarizing", "amplitude_damping", "dephasing", "erasure")
 _QUBIT_ONLY = ("amplitude_damping", "dephasing")
@@ -51,9 +52,7 @@ def _check_family_args(family: str, param: float, d: int):
         raise ValueError(
             f"unknown channel family {family!r}, expected one of {_FAMILIES}"
         )
-    param = float(param)
-    if not 0.0 <= param <= 1.0:
-        raise ValueError(f"noise parameter must lie in [0, 1], got {param}")
+    param = _unit_interval("param", param)
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
     if family in _QUBIT_ONLY and d != 2:

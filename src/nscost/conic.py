@@ -28,9 +28,10 @@ give it an entry and those entries stacked, from the builder or gathered
 from rows, and checks them once into one read-only stack per block group:
 (m, k, n, n) for the k PSD blocks of one size n and dtype, (m, total) for
 the LP blocks side by side. The solver runs on those stacks: a PSD group's
-blocks share one iterate array, their (batch, k, n, n) stack held as
-(batch * k, n, n), and every LP block shares one vector with a slack for
-each inequality row. The block group is the unit of all work: the NT
+blocks share one iterate array, (batch, k, n, n), and every LP block
+shares one (batch, total) array with a slack for each inequality row. The
+instance is axis 0 of every per-instance array, so a block is a[:, j] and
+an instance a[k]. The block group is the unit of all work: the NT
 scaling, the corrector, the step lengths, the updates, the inner products
 and the products with the constraint data (A x, A^T y, the Newton rhs) run
 once per group, the latter over its stack, or one CSR on the LP group.
@@ -55,7 +56,7 @@ that of its last iterate.
 Batches. :func:`solve_many` solves a list of problems. It groups those
 whose blocks, senses and coefficient stacks (dtype and bytes) are equal
 (objectives and rhs may differ) and runs each group in lockstep: every
-iterate carries a leading batch axis, one row per instance, so each
+iterate carries the leading batch axis, one entry per instance, so each
 iteration does its block algebra once for the whole group. Each instance
 keeps its own mu, sigma, step lengths, certificate tests, status and
 iterate trace, and leaves the batch when it terminates. The m x m Schur
@@ -423,15 +424,13 @@ def _groups(problems: list) -> list:
 
 
 class _BlockGroup:
-    """Blocks whose iterates share one array of `rows` items per instance:
-    the k PSD blocks of one size n and dtype, (batch * k, n, n), with the
+    """Blocks whose iterates share one array, of one `item` per instance:
+    the k PSD blocks of one size n and dtype, (batch, k, n, n), with the
     problem's stack of the group, `stack` (m, k, n, n), and its float64 view
     `flat` (m, k*n*n, or 2*k*n*n on complex blocks); or every LP block and
-    the slack of the "le" rows, one (total,) item per instance, with the CSR
-    (m, total) of the group's stack and the slack, its transpose and its
-    CSC. The batch * k rows are the (batch, k, n, n) stack of the blocks
-    flattened, so that each per-matrix step sees three axes, and an
-    instance's rows viewed as one vector line up with `flat`.
+    the slack of the "le" rows, (batch, total), with the CSR (m, total) of
+    the group's stack and the slack, its transpose and its CSC. An
+    instance's item viewed as one vector lines up with `flat`.
 
     Given the first column `col` of its blocks in the Schur Gram matrix, a
     PSD group also keeps, per block, the rows whose coefficient on it is not
@@ -446,20 +445,20 @@ class _BlockGroup:
         if self.sdp:
             self.stack = stack
             self.flat = stack.reshape(m, -1).view(float)
-            self.rows, self.item, self.dtype = stack.shape[1], stack.shape[2:], stack.dtype
+            self.item, self.dtype = stack.shape[1:], stack.dtype
             if col is None:
                 return
-            self.svec = _svec(self.item[0], self.dtype.kind == "c")
-            width = len(self.svec[0])
-            touched = self.flat.reshape(m, self.rows, -1).any(axis=2).T
+            self.svec = _svec(self.item[-1], self.dtype.kind == "c")
+            width, k = len(self.svec[0]), len(members)
+            touched = self.flat.reshape(m, k, -1).any(axis=2).T
             self.touched = [slice(None) if t.all() else np.flatnonzero(t) for t in touched]
             self.coeffs = [self.stack[t, j] for j, t in enumerate(self.touched)]
-            self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(self.rows)]
-            self.end = col + self.rows * width
+            self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(k)]
+            self.end = col + k * width
             return
         rows, cols = np.nonzero(stack)
         n = stack.shape[1]
-        self.rows, self.item, self.dtype = 1, (n + len(le_rows),), np.dtype(float)
+        self.item, self.dtype = (n + len(le_rows),), np.dtype(float)
         # The slack: one column per "le" row, with coefficient 1.
         data = np.concatenate((stack[rows, cols], np.ones(len(le_rows))))
         rows = np.concatenate((rows, le_rows))
@@ -512,10 +511,7 @@ class _Standardized:
             col = g.end
         self.gram = np.zeros((len(problems), m, col)) if gram else None
         self.nu = sum(b.size for b in first.blocks) + len(le_rows)
-        # Where each block sits in an instance's rows of its group's array:
-        # (group, row, index in the row).
-        sdp = [g.sdp for g in self.groups]
-        self.places = [(gi, i, ...) if sdp[gi] else (gi, 0, i) for gi, i in first._places]
+        self.places = first._places  # each block's (group, index in an item)
         self.objective = self.grouped(list(zip(*(p.objective for p in problems))))
         for c in self.objective:
             c *= self.sign
@@ -524,19 +520,20 @@ class _Standardized:
         self.norm_c = np.sqrt(self.dots(self.objective, self.objective))
 
     def grouped(self, blocks: list) -> list:
-        """Per block, one entry per instance (None for 0), as group arrays;
-        the slack's entries are 0."""
-        out = [np.zeros((len(self.b) * g.rows, *g.item), g.dtype) for g in self.groups]
-        for (gi, j, where), entries in zip(self.places, blocks):
+        """Per block, one entry per instance (None for 0), as group arrays:
+        instance k's entry goes to out[group][k, index], the block's place
+        in its group's item. The slack's entries are 0."""
+        out = [np.zeros((len(self.b), *g.item), g.dtype) for g in self.groups]
+        for (gi, i), entries in zip(self.places, blocks):
             for k, entry in enumerate(entries):
                 if entry is not None:
-                    out[gi][k * self.groups[gi].rows + j][where] = entry
+                    out[gi][k, i] = entry
         return out
 
     def dots(self, a: list, b: list) -> np.ndarray:
         """Re <a_k, b_k> for each instance k of two lists of group arrays:
         one product per instance and group, added in group order."""
-        terms = [_dots(ag, bg, g.rows) for g, ag, bg in zip(self.groups, a, b)]
+        terms = [_dots(ag, bg) for ag, bg in zip(a, b)]
         return functools.reduce(np.add, terms)
 
     # -- block-space linear maps, per instance ---------------------------
@@ -545,7 +542,7 @@ class _Standardized:
         """A x per instance, plus `start` if given: one product per
         instance and group, added in group order after `start`."""
         terms = [
-            _times(_flat(xg, g.rows), g.flat.T) if g.sdp else (g.mat @ xg.T).T
+            _times(_flat(xg), g.flat.T) if g.sdp else (g.mat @ xg.T).T
             for g, xg in zip(self.groups, x)
         ]
         return functools.reduce(np.add, terms if start is None else [start, *terms])
@@ -560,16 +557,15 @@ class _Standardized:
         ]
 
 
-def _flat(a: np.ndarray, rows: int = 1) -> np.ndarray:
-    """Float64 view of each instance's `rows` items, flattened: Re tr(A B) =
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Float64 view of each instance of a, flattened: Re tr(A B) =
     _flat(A)[k] @ _flat(B)[k] for Hermitian A and B."""
-    return a.reshape(len(a) // rows, -1).view(float)
+    return a.reshape(len(a), -1).view(float)
 
 
-def _dots(a: np.ndarray, b: np.ndarray, rows: int = 1) -> np.ndarray:
-    """Re <a_k, b_k> for each instance k of two arrays of `rows` items per
-    instance."""
-    return (_flat(a, rows)[:, None, :] @ _flat(b, rows)[:, :, None])[:, 0, 0]
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_k, b_k> for each instance k of two arrays."""
+    return (_flat(a)[:, None, :] @ _flat(b)[:, :, None])[:, 0, 0]
 
 
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -578,15 +574,9 @@ def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ mat)[:, 0]
 
 
-def _per_row(v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """A per-instance vector v, repeated for each of an instance's rows of a
-    group array a."""
-    return v if len(v) == len(a) else np.repeat(v, len(a) // len(v))
-
-
 def _bc(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """A per-instance vector v, shaped to scale the instances of a."""
-    return _per_row(v, a).reshape(-1, *(1,) * (a.ndim - 1))
+    return v.reshape(-1, *(1,) * (a.ndim - 1))
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -624,15 +614,12 @@ class _NTScaling:
 
     On a PSD block R^-1 X R^-H = R^H S R = diag(lam), so the two factors
     G[gi] = lam^-1/2 [R^-1, R^H] map X and S to the identity by congruence.
-    `factors` are the iterate's Cholesky factors from :func:`_cholesky`,
-    computed here when not given.
+    On a PSD group R, Rinv and W = R R^H are (batch, k, n, n), lam is
+    (batch, k, n) and G (batch, k, 2, n, n). `factors` are the iterate's
+    Cholesky factors from :func:`_cholesky`.
     """
 
-    def __init__(self, std: _Standardized, x: list, s: list, factors: dict | None = None):
-        if factors is None:
-            factors, outside = _cholesky(std, x, s)
-            if outside is not None:
-                raise SolverFailure("iterate left the cone (Cholesky breakdown)")
+    def __init__(self, std: _Standardized, x: list, s: list, factors: dict):
         self.R: dict[int, np.ndarray] = {}
         self.Rinv: dict[int, np.ndarray] = {}
         self.W: dict[int, np.ndarray] = {}
@@ -643,17 +630,17 @@ class _NTScaling:
             if g.sdp:
                 lx, ls = factors[gi]
                 u, sig, vt = np.linalg.svd(_h(ls) @ lx)
-                if sig[:, -1].min() <= 0.0:
+                if sig[..., -1].min() <= 0.0:
                     raise SolverFailure("NT scaling breakdown: singular iterate")
                 inv_sqrt = 1.0 / np.sqrt(sig)
-                r = lx @ (_h(vt) * inv_sqrt[:, None, :])
-                rinv = (inv_sqrt[:, :, None] * _h(u)) @ _h(ls)
+                r = lx @ (_h(vt) * inv_sqrt[..., None, :])
+                rinv = (inv_sqrt[..., :, None] * _h(u)) @ _h(ls)
                 self.R[gi] = r
                 self.Rinv[gi] = rinv
                 self.W[gi] = r @ _h(r)
                 self.lam[gi] = sig
-                pair = np.concatenate((rinv[:, None], _h(r)[:, None]), axis=1)
-                self.G[gi] = pair * inv_sqrt[:, None, :, None]
+                pair = np.concatenate((rinv[:, :, None], _h(r)[:, :, None]), axis=2)
+                self.G[gi] = pair * inv_sqrt[..., None, :, None]
             else:
                 self.w2[gi] = x[gi] / s[gi]
                 self.lam[gi] = np.sqrt(x[gi] * s[gi])
@@ -661,7 +648,7 @@ class _NTScaling:
 
 def _cholesky(std: _Standardized, x: list, s: list) -> tuple:
     """Per PSD group, the lower Cholesky factors of an iterate's X and S
-    blocks, as one (2, batch * k, n, n) array; and None when the iterate
+    blocks, as one (2, batch, k, n, n) array; and None when the iterate
     is inside the cone, or else per instance and side (primal, dual)
     whether it is outside: some block's Cholesky factorization fails, or
     some LP entry is <= 0."""
@@ -675,11 +662,11 @@ def _cholesky(std: _Standardized, x: list, s: list) -> tuple:
                 raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         # Only on failure: find the instances and sides that fail.
-        outside = np.zeros((len(x[0]) // std.groups[0].rows, 2), dtype=bool)
+        outside = np.zeros((len(x[0]), 2), dtype=bool)
         for gi, g in enumerate(std.groups):
-            if g.sdp:
+            if g.sdp:  # per instance and side, all its blocks at once
                 failed = [not _positive_definite(a) for a in np.concatenate((x[gi], s[gi]))]
-                outside |= np.reshape(failed, (2, -1, g.rows)).any(axis=2).T
+                outside |= np.reshape(failed, (2, -1)).T
             else:
                 outside |= np.stack(((x[gi] <= 0.0).any(axis=1), (s[gi] <= 0.0).any(axis=1)), 1)
         return factors, outside
@@ -724,7 +711,7 @@ class _SchurSolver:
         for gi, g in enumerate(std.groups):
             if g.sdp and std.gram is None:
                 # W A W for every row and block: W broadcast over the rows.
-                w = nt.W[gi].reshape(-1, 1, *g.stack.shape[1:])
+                w = nt.W[gi][:, None]
                 waw = np.matmul(w, np.matmul(g.stack, w))
                 flat = waw.reshape(len(waw), std.m, -1).view(float)
                 terms.append(np.matmul(g.flat, flat.swapaxes(1, 2)))
@@ -739,13 +726,13 @@ class _SchurSolver:
     @staticmethod
     def _gram(std: _Standardized, nt: _NTScaling) -> np.ndarray:
         """G G^T per instance, for the PSD blocks."""
-        gram = std.gram[: len(nt.lam[0]) // std.groups[0].rows]
+        gram = std.gram[: len(nt.lam[0])]
         for gi, g in enumerate(std.groups):
             if not g.sdp:
                 continue
             idx, weight = g.svec
             for j, (touched, coeffs, cols) in enumerate(zip(g.touched, g.coeffs, g.cols)):
-                r = nt.R[gi][j :: g.rows]
+                r = nt.R[gi][:, j]
                 # One instance: 3-D products, with no batch axis to broadcast.
                 r = r[0] if len(r) == 1 else r[:, None]
                 rar = _h(r) @ (coeffs @ r)
@@ -800,12 +787,12 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
     rho_d = np.maximum(rho_p, std.norm_c / math.sqrt(nu))
     x, s = [], []
     for g in std.groups:
-        unit = np.eye(g.item[0], dtype=g.dtype) if g.sdp else np.ones(g.item)
-        unit = np.broadcast_to(unit, (len(problems) * g.rows, *g.item))
+        unit = np.eye(g.item[-1], dtype=g.dtype) if g.sdp else np.ones(g.item)
+        unit = np.broadcast_to(unit, (len(problems), *g.item))
         x.append(_bc(rho_p, unit) * unit)
         s.append(_bc(rho_d, unit) * unit)
     y = np.zeros((len(problems), std.m))
-    factors = None  # of the iterate, once a step has made it
+    factors = _cholesky(std, x, s)[0]  # of rho I, inside the cone
     # Per-instance data of the instances still running; `active` holds
     # their indices in `problems`.
     b, c = std.b, std.objective
@@ -841,7 +828,7 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
                 status = "max_iter"
             else:
                 continue
-            own = [xg.reshape(len(y), -1, *xg.shape[1:])[pos] for xg in x]
+            own = [xg[pos] for xg in x]
             out[k] = _solution(std, status, own, y[pos], pv, dv, pr, dr, it, traces[k])
             finished.append(pos)
         if len(finished) == len(active):
@@ -850,9 +837,8 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
             # Finished instances leave the batch.
             keep = np.ones(len(active), dtype=bool)
             keep[finished] = False
-            x, s, rd, c = ([a[_per_row(keep, a)] for a in arrays] for arrays in (x, s, rd, c))
-            if factors is not None:
-                factors = {gi: f[:, _per_row(keep, f[0])] for gi, f in factors.items()}
+            x, s, rd, c = ([a[keep] for a in arrays] for arrays in (x, s, rd, c))
+            factors = {gi: f[:, keep] for gi, f in factors.items()}
             y, b, rp, mu, scale_b, scale_c, active = (
                 a[keep] for a in (y, b, rp, mu, scale_b, scale_c, active)
             )
@@ -881,8 +867,9 @@ def _solve_group(problems: list, gap_tol, feas_tol, max_iter) -> list:
                 dxh = rinv @ dx_aff[gi] @ _h(rinv)
                 dsh = _h(r) @ ds_aff[gi] @ r
                 d = -_sym(dxh @ dsh)
-                d.reshape(len(d), -1)[:, :: g.item[0] + 1] += _bc(target, lam) - lam**2
-                z = 2.0 * d / (lam[:, :, None] + lam[:, None, :])
+                d.reshape(*lam.shape[:-1], -1)[..., :: g.item[-1] + 1] += (
+                    _bc(target, lam) - lam**2)
+                z = 2.0 * d / (lam[..., :, None] + lam[..., None, :])
                 rc_cor.append(_sym(r @ z @ _h(r)))
             else:
                 d = target[:, None] - x[gi] * s[gi] - dx_aff[gi] * ds_aff[gi]
@@ -919,8 +906,8 @@ def _step(std, x, s, y, dx, ds, dy, steps) -> tuple:
 
 
 def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolution:
-    """One instance's ConicSolution from its final iterate (its rows of each
-    group array); the values and residuals are floats."""
+    """One instance's ConicSolution from its final iterate (its item of
+    each group array); the values and residuals are floats."""
     sign = std.sign
     primal_value = sign * pobj
     dual_value = sign * dobj
@@ -935,7 +922,7 @@ def _solution(std, status, x, y, pobj, dobj, pres, dres, it, trace) -> ConicSolu
         primal_value=primal_value,
         dual_value=dual_value,
         gap=abs(pobj - dobj) / (1.0 + abs(pobj)) if math.isfinite(pobj) else math.nan,
-        primal_blocks=tuple(x[gi][j][where].copy() for gi, j, where in std.places),
+        primal_blocks=tuple(x[gi][i].copy() for gi, i in std.places),
         dual_multipliers=sign * y,
         iterations=it,
         primal_residual=pres,
@@ -976,10 +963,9 @@ def _max_steps(std, nt, x, s, dx, ds) -> np.ndarray:
     for gi, g in enumerate(std.groups):
         if g.sdp:
             gg = nt.G[gi]
-            t = gg @ np.concatenate((dx[gi][:, None], ds[gi][:, None]), axis=1) @ _h(gg)
-            lo = np.linalg.eigvalsh((t + _h(t)) / 2.0)[..., 0]
-            if g.rows > 1:  # an instance's smallest over its blocks
-                lo = np.minimum.reduce(lo.reshape(-1, g.rows, 2), axis=1)
+            t = gg @ np.concatenate((dx[gi][:, :, None], ds[gi][:, :, None]), axis=2) @ _h(gg)
+            # Per instance and side, the smallest over its blocks.
+            lo = np.linalg.eigvalsh((t + _h(t)) / 2.0)[..., 0].min(axis=1)
             steps = -1.0 / np.minimum(lo, -1e-14)
             steps[lo >= -1e-14] = _BIG_STEP
         else:
@@ -1096,14 +1082,17 @@ def dump_problem(problem: ConicProblem, path: str) -> None:
 
 
 def _scale(c: np.ndarray) -> np.ndarray:
-    """max(1, max |c|) over the last two axes."""
-    return np.maximum(1.0, np.abs(c).max(axis=(-2, -1)))
+    """max(1, max |c|) over the last two axes, or NaN where that is not
+    finite: no entry is small relative to an infinite scale."""
+    top = np.abs(c).max(axis=(-2, -1))
+    return np.where(np.isfinite(top), np.maximum(1.0, top), np.nan)
 
 
 def _large(part: np.ndarray, scale) -> np.ndarray:
     """Whether `part` has an entry above 1e-10 relative to `scale`, over the
-    last two axes."""
-    return np.abs(part).max(axis=(-2, -1)) > 1e-10 * scale
+    last two axes. A NaN entry or scale counts as large, so non-finite data
+    fail the conjugation test and reach the complex path's validator."""
+    return ~(np.abs(part).max(axis=(-2, -1)) <= 1e-10 * scale)
 
 
 def _imaginary(c: np.ndarray) -> np.ndarray:

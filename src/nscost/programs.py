@@ -53,6 +53,7 @@ from .conic import (
 )
 from .qmat import (
     QuantumChannel,
+    _unit_interval,
     hermitian_basis,
     kron,
     lift,
@@ -185,13 +186,6 @@ def _normalize_code(code: str) -> str:
     if canon in ("NS", "NS_PPT"):
         return canon
     raise ValueError(f"unknown code class {code!r}, expected 'NS' or 'NS_PPT'")
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"error tolerance must lie in [0, 1], got {eps}")
-    return eps
 
 
 def _product_basis(dims: list[int], drop=()) -> np.ndarray:
@@ -457,7 +451,7 @@ def one_shot_cost_ns(n: QuantumChannel, eps: float, **solve_kw) -> CostResult:
     tr V* optimizes the eps-simulation program. The unceiled half-log value
     is reported alongside, so the integer correction delta is exact.
     """
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     trv = _trv_at_eps(n, eps, **solve_kw)
     return cost_result_from_trv(trv)
 
@@ -474,7 +468,7 @@ def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResul
     search solves m = 1..dim_in - 1 only and ends at dim_in without a solve.
     The m = 1 program is the one dumped, also when it is not solved.
     """
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     dump_path = solve_kw.pop("dump_path", None)
     if n.dim_in == 1:
         solver_options(**solve_kw)  # no solve runs: check the options here
@@ -541,7 +535,7 @@ def smooth_max_information(n: QuantumChannel, eps: float, **solve_kw) -> float:
     Shares its program with :func:`one_shot_cost_ns`, so the identity
     cost_bits = log2 ceil(sqrt(2^value)) holds exactly on every instance.
     """
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     trv = _trv_at_eps(n, eps, **solve_kw)
     return math.log2(trv)
 
@@ -552,7 +546,7 @@ def robustness(n: QuantumChannel, eps: float, **solve_kw) -> float:
     Equals 2^I_max^eps - 1: the least mixing weight of another channel that
     makes the mixture a constant channel, minimized over the eps-ball.
     """
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     trv = _trv_at_eps(n, eps, **solve_kw)
     return trv - 1.0
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .conic import HermitianProgram, solver_options
 from .conic import solve  # unused here; perfbench/tracing.py patches this name
-from .programs import CostResult, _check_eps, _run, cost_result_from_trv
-from .qmat import row_stochastic
+from .programs import CostResult, _run, cost_result_from_trv
+from .qmat import _unit_interval, row_stochastic
 
 _NORMALIZATION_TOL = 1e-9
 _MAX_LOG2_TRV = 1020.0
@@ -48,10 +48,7 @@ def _check_dp_args(n, d, p):
 def _check_dp(d, p):
     if int(d) != d or d < 2:
         raise ValueError(f"local dimension must be an integer >= 2, got {d}")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter must lie in [0, 1], got {p}")
-    return int(d), p
+    return int(d), _unit_interval("p", p)
 
 
 def _bell_values(d: int, p: float) -> tuple[float, float]:
@@ -74,7 +71,7 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
             range representable in double precision.
     """
     n, d, p = _check_dp_args(n, d, p)
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     return _depolarizing_costs(n, d, p, _log_factorials(n), (eps,))[0]
 
 
@@ -92,7 +89,7 @@ def depolarizing_sweep(
             log2 tr V would exceed the range of double precision.
     """
     n_max, d, p = _check_dp_args(n_max, d, p)
-    eps_values = tuple(_check_eps(eps) for eps in eps_values)
+    eps_values = tuple(_unit_interval("eps", eps) for eps in eps_values)
     lgam = _log_factorials(n_max)
     return [_depolarizing_costs(n, d, p, lgam, eps_values) for n in range(1, n_max + 1)]
 
@@ -187,7 +184,7 @@ def classical_cost_lp(
             invalid, at eps = 0 too.
     """
     mat = row_stochastic(channel)
-    eps = _check_eps(eps)
+    eps = _unit_interval("eps", eps)
     n_in, n_out = mat.shape
 
     if eps == 0.0:

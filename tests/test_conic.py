@@ -432,6 +432,31 @@ class TestRealForm:
         with pytest.raises(ValueError, match="Hermitian"):
             prog.build()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["objective", "row"])
+    def test_non_finite_imaginary_part_takes_complex_blocks_and_is_rejected(
+        self, where, value
+    ):
+        # min tr V s.t. V >= J over hermitian_basis(2). A NaN or infinite
+        # imaginary part fails the conjugation test, so the data take
+        # complex blocks, whose validator rejects it, rather than losing it
+        # to the real part.
+        bad = np.zeros((2, 2), dtype=complex)
+        bad[0, 1] = bad[1, 0] = complex(0.0, value)
+        j, basis = 0.5 * np.eye(2), list(hermitian_basis(2))
+        if where == "objective":
+            j = j + bad
+        else:
+            basis[-1] = np.eye(2) + bad
+        prog = HermitianProgram()
+        v = prog.variable(basis)
+        prog.add_lmi(v - j)
+        prog.minimize(v.map(np.trace))
+        assert HermitianProgram.is_real(prog.built_objective()) == (where == "row")
+        what = "objective" if where == "objective" else f"constraint {len(basis) - 1}"
+        with pytest.raises(ValueError, match=f"{what}: SDP entry is not finite"):
+            prog.build()
+
 
 class TestSolverProperties:
     def test_fifty_random_strictly_feasible(self):
@@ -598,7 +623,7 @@ class TestStepLengths:
         # of blocks; this is a batch of one.
         std = conic._Standardized([problem])
         x, s, dx, ds = (std.grouped([a[None] for a in arrays]) for arrays in (x, s, dx, ds))
-        nt = conic._NTScaling(std, x, s)
+        nt = conic._NTScaling(std, x, s, conic._cholesky(std, x, s)[0])
         return tuple(conic._max_steps(std, nt, x, s, dx, ds)[0].tolist())
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -924,11 +949,11 @@ class TestBlockGroups:
     def test_groups_by_kind_size_and_dtype(self):
         problem = grouped_batch(1)[0]
         std = conic._Standardized([problem])
-        assert [(g.members, g.rows, g.item, g.dtype) for g in std.groups] == [
-            ([0, 2, 6], 3, (3, 3), np.float64),
-            ([1, 5], 1, (3 + 2 + 3,), np.float64),  # the LP blocks and the slack
-            ([3], 1, (3, 3), np.complex128),
-            ([4], 1, (2, 2), np.float64),
+        assert [(g.members, g.item, g.dtype) for g in std.groups] == [
+            ([0, 2, 6], (3, 3, 3), np.float64),
+            ([1, 5], (3 + 2 + 3,), np.float64),  # the LP blocks and the slack
+            ([3], (1, 3, 3), np.complex128),
+            ([4], (1, 2, 2), np.float64),
         ]
         # A PSD group runs on the problem's one stack of its coefficients,
         # of which each block's stack is a view: nothing is copied.
@@ -977,9 +1002,9 @@ class TestBlockGroups:
         batch = grouped_batch(2)
         problem = batch[0]
         std = conic._Standardized(batch)
-        groups = [(g.sdp, g.rows, g.dtype) for g in std.groups]
-        assert groups[:3] == [(True, 3, np.float64), (False, 1, np.float64),
-                              (True, 1, np.complex128)]
+        groups = [(g.sdp, g.item, g.dtype) for g in std.groups]
+        assert groups[:3] == [(True, (3, 3, 3), np.float64), (False, (8,), np.float64),
+                              (True, (1, 3, 3), np.complex128)]
         rows = problem.constraints
         m, le = len(rows), np.flatnonzero(problem._le)
         rng = np.random.default_rng(31)
@@ -1122,7 +1147,7 @@ class TestSchurAssembly:
         lp = std.groups[1]
         assert not lp.sdp
         xg[1][0, -len(le):], sg[1][0, -len(le):] = x_slack, s_slack
-        nt = conic._NTScaling(std, xg, sg)
+        nt = conic._NTScaling(std, xg, sg, conic._cholesky(std, xg, sg)[0])
         got = conic._SchurSolver(std, nt)._systems[0][0]
 
         m = len(problem.constraints)
@@ -1179,8 +1204,40 @@ class TestBacktracking:
         shrunk = 1.0
         for _ in range(4):
             shrunk *= conic._BACKTRACK
-        assert np.array_equal(xn[0][0], np.eye(2) + shrunk * (-2.0 * np.eye(2)))
-        assert np.array_equal(xn[0][1], 0.5 * np.eye(2))
+        assert np.array_equal(xn[0][0, 0], np.eye(2) + shrunk * (-2.0 * np.eye(2)))
+        assert np.array_equal(xn[0][1, 0], 0.5 * np.eye(2))
+        assert np.array_equal(sn[0], s[0])
+        assert np.array_equal(yn, y + dy)
+        lx, ls = factors[0]
+        assert np.array_equal(lx, np.linalg.cholesky(xn[0]))
+        assert np.array_equal(ls, np.linalg.cholesky(sn[0]))
+
+    def test_a_failing_block_shrinks_its_instance_step_on_every_block(self):
+        # Two 2 x 2 blocks, one group (k = 2), two instances. A full step
+        # leaves block 0 at I and takes block 1 of instance 0 to -I, of
+        # instance 1 to I/2.
+        problem = ConicProblem(
+            blocks=(Block("sdp", 2), Block("sdp", 2)),
+            objective=(np.eye(2), np.eye(2)),
+            constraints=(Constraint((np.eye(2), np.eye(2)), 4.0),),
+        )
+        std = conic._Standardized([problem, problem])
+        assert [g.item for g in std.groups] == [(2, 2, 2)]
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        x, s = std.grouped([[eye, eye], [eye, eye]]), std.grouped([[eye, eye], [eye, eye]])
+        y, dy = np.zeros((2, 1)), np.ones((2, 1))
+        dx = std.grouped([[zero, zero], [-2.0 * eye, -0.5 * eye]])
+        ds = std.grouped([[zero, zero], [zero, zero]])
+        xn, sn, yn, factors = conic._step(std, x, s, y, dx, ds, dy, np.ones((2, 2)))
+        # Instance 0 takes 0.8^4 of its step on both blocks, the first that
+        # keeps block 1 PD; instance 1 and y take their full steps.
+        shrunk = 1.0
+        for _ in range(4):
+            shrunk *= conic._BACKTRACK
+        assert np.array_equal(xn[0][0, 0], eye)
+        assert np.array_equal(xn[0][0, 1], eye + shrunk * (-2.0 * eye))
+        assert xn[0][0, 1, 0, 0] == pytest.approx(0.1808, abs=1e-15)
+        assert np.array_equal(xn[0][1], [eye, 0.5 * eye])
         assert np.array_equal(sn[0], s[0])
         assert np.array_equal(yn, y + dy)
         lx, ls = factors[0]
