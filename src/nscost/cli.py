@@ -107,13 +107,11 @@ def _make_named_channel(
     if family in ("depolarizing", "erasure", "dephasing"):
         if p is None:
             raise ValueError(f"family {family} requires --p")
-        if family == "dephasing":
-            return make_channel("dephasing", p=p)
         return make_channel(family, d=d, p=p)
     if family == "amplitude_damping":
         if r is None:
             raise ValueError("family amplitude_damping requires --r")
-        return make_channel("amplitude_damping", r=r)
+        return make_channel("amplitude_damping", d=d, r=r)
     raise ValueError(f"unknown channel family {name!r}")
 
 

@@ -34,17 +34,18 @@ instance is axis 0 of every per-instance array, so a block is a[:, j] and
 an instance a[k]. The block group is the unit of all work: the NT
 scaling, the corrector, the step lengths, the updates, the inner products
 and the products with the constraint data (A x, A^T y, the Newton rhs) run
-once per group, the latter over its stack, or one CSR on the LP group.
-Sums over groups add their terms in group order, the order in which each
-group's first block appears: block order, when each PSD group holds one
-block.
+once per group, the latter over its stack, beside which the LP group
+keeps the slack's unit columns. Sums over groups add their terms in group
+order, the order in which each group's first block appears: block order,
+when each PSD group holds one block.
 
 Schur matrix. With W = R R^H on a PSD block, Re tr(A_i W A_j W) is the dot
 product of svec(R^H A_i R) and svec(R^H A_j R), so from _GRAM_MIN_ROWS rows
 on the PSD part of M = A W A^T is one Gram product G G^T per instance (BLAS
 syrk), each block filling G only on the rows that touch it (Fujisawa,
 Kojima & Nakata 1997; the svec form of SDPT3). Smaller problems, whose cost
-is the number of numpy calls, add one W A_i W term per group instead.
+is the number of numpy calls, add one W A_i W term per group instead. The
+LP group adds A diag(x/s) A^T, and every M takes one dense Cholesky factor.
 
 Safeguard. When a step's iterate fails its Cholesky factorization (or an LP
 entry is not positive), that instance's step on the failing side shrinks by
@@ -60,12 +61,11 @@ iterate carries the leading batch axis, one entry per instance, so each
 iteration does its block algebra once for the whole group. Each instance
 keeps its own mu, sigma, step lengths, certificate tests, status and
 iterate trace, and leaves the batch when it terminates. The m x m Schur
-factorizations and solves (LAPACK potrf/potrs, or a sparse LU on the
-pure-LP path) run one instance at a time, the products with the
-constraint data are formed per instance, and each instance shrinks its own
-steps, so an instance's arithmetic does not depend on the batch around it:
-solve_many gives bitwise the results of :func:`solve`, which is solve_many
-on a batch of one.
+factorizations and solves (LAPACK potrf/potrs) run one instance at a time,
+the products with the constraint data are formed per instance, and each
+instance shrinks its own steps, so an instance's arithmetic does not
+depend on the batch around it: solve_many gives bitwise the results of
+:func:`solve`, which is solve_many on a batch of one.
 
 The solver is deterministic: no randomness anywhere, so identical inputs give
 bitwise-identical iterate sequences.
@@ -81,8 +81,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 __all__ = [
     "Affine",
@@ -428,9 +426,10 @@ class _BlockGroup:
     the k PSD blocks of one size n and dtype, (batch, k, n, n), with the
     problem's stack of the group, `stack` (m, k, n, n), and its float64 view
     `flat` (m, k*n*n, or 2*k*n*n on complex blocks); or every LP block and
-    the slack of the "le" rows, (batch, total), with the CSR (m, total) of
-    the group's stack and the slack, its transpose and its CSC. An
-    instance's item viewed as one vector lines up with `flat`.
+    the slack of the "le" rows, (batch, total), with `flat` the (m, total)
+    stack of the group and one unit column per "le" row (the stack itself
+    when there is none). An instance's item viewed as one vector lines up
+    with `flat`.
 
     Given the first column `col` of its blocks in the Schur Gram matrix, a
     PSD group also keeps, per block, the rows whose coefficient on it is not
@@ -442,30 +441,22 @@ class _BlockGroup:
         self.sdp = le_rows is None
         self.end = col
         m = len(stack)
-        if self.sdp:
-            self.stack = stack
-            self.flat = stack.reshape(m, -1).view(float)
-            self.item, self.dtype = stack.shape[1:], stack.dtype
-            if col is None:
-                return
-            self.svec = _svec(self.item[-1], self.dtype.kind == "c")
-            width, k = len(self.svec[0]), len(members)
-            touched = self.flat.reshape(m, k, -1).any(axis=2).T
-            self.touched = [slice(None) if t.all() else np.flatnonzero(t) for t in touched]
-            self.coeffs = [self.stack[t, j] for j, t in enumerate(self.touched)]
-            self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(k)]
-            self.end = col + k * width
+        if not self.sdp and len(le_rows):
+            slack = np.zeros((m, len(le_rows)))
+            slack[le_rows, np.arange(len(le_rows))] = 1.0
+            stack = np.hstack((stack, slack))
+        self.stack = stack
+        self.flat = stack.reshape(m, -1).view(float)
+        self.item, self.dtype = stack.shape[1:], stack.dtype
+        if not self.sdp or col is None:
             return
-        rows, cols = np.nonzero(stack)
-        n = stack.shape[1]
-        self.item, self.dtype = (n + len(le_rows),), np.dtype(float)
-        # The slack: one column per "le" row, with coefficient 1.
-        data = np.concatenate((stack[rows, cols], np.ones(len(le_rows))))
-        rows = np.concatenate((rows, le_rows))
-        cols = np.concatenate((cols, np.arange(n, self.item[0])))
-        self.mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(m, *self.item))
-        self.csc = self.mat.tocsc()
-        self.mat_t = self.csc.T  # a CSR view of the CSC's arrays
+        self.svec = _svec(self.item[-1], self.dtype.kind == "c")
+        width, k = len(self.svec[0]), len(members)
+        touched = self.flat.reshape(m, k, -1).any(axis=2).T
+        self.touched = [slice(None) if t.all() else np.flatnonzero(t) for t in touched]
+        self.coeffs = [self.stack[t, j] for j, t in enumerate(self.touched)]
+        self.cols = [slice(col + j * width, col + (j + 1) * width) for j in range(k)]
+        self.end = col + k * width
 
 
 @functools.cache
@@ -499,11 +490,10 @@ class _Standardized:
         self.b = np.stack([p._rhs for p in problems])
         row_sq = sum(np.einsum("ij,ij->i", f, f) for f in map(_flat, first._stacks))  # |row|^2
         le_rows = np.flatnonzero(first._le)
-        self.pure_lp = not any(sdp for sdp, _, _ in first._groups)
         # The Schur Gram matrix of each instance (see _SchurSolver), from
-        # _GRAM_MIN_ROWS rows on; rows that do not touch a block stay 0 in
-        # its columns.
-        gram = not self.pure_lp and m >= _GRAM_MIN_ROWS
+        # _GRAM_MIN_ROWS rows on when some block is PSD; rows that do not
+        # touch a block stay 0 in its columns.
+        gram = m >= _GRAM_MIN_ROWS and any(sdp for sdp, _, _ in first._groups)
         self.groups, col = [], 0 if gram else None
         for sdp, bis, stack in first._groups:
             g = _BlockGroup(bis, stack, None if sdp else le_rows, col)
@@ -541,20 +531,13 @@ class _Standardized:
     def apply_A(self, x: list, start=None) -> np.ndarray:
         """A x per instance, plus `start` if given: one product per
         instance and group, added in group order after `start`."""
-        terms = [
-            _times(_flat(xg), g.flat.T) if g.sdp else (g.mat @ xg.T).T
-            for g, xg in zip(self.groups, x)
-        ]
+        terms = [_times(_flat(xg), g.flat.T) for g, xg in zip(self.groups, x)]
         return functools.reduce(np.add, terms if start is None else [start, *terms])
 
     def apply_At(self, y: np.ndarray) -> list:
         """A^T y per instance, as group arrays: one product per instance and
         group."""
-        return [
-            _times(y, g.flat).view(g.dtype).reshape(-1, *g.item) if g.sdp
-            else (g.mat_t @ y.T).T
-            for g in self.groups
-        ]
+        return [_times(y, g.flat).view(g.dtype).reshape(-1, *g.item) for g in self.groups]
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -685,28 +668,21 @@ class _SchurSolver:
     """Factorizations of M = A W A^T for one iterate, one per instance,
     shared by both Newton solves.
 
-    A pure LP factorizes each instance's sparse A diag(w2) A^T with a sparse
-    LU. Any PSD block gives a dense M, assembled for all instances as one
-    stack. With W = R R^H on a PSD block, Re tr(A_i W A_j W) =
-    <svec(R^H A_i R), svec(R^H A_j R)> (see :func:`_svec`), so the PSD part
-    of M is G G^T, where G (m, sum of svec widths) holds those svecs side by
-    side, block by block: one product per instance, which numpy runs as BLAS
-    syrk, exactly symmetric. A block fills only its rows of G that touch it;
-    the others stay 0 in `_Standardized.gram`. Problems with fewer than
-    _GRAM_MIN_ROWS rows, whose cost is the number of numpy calls rather than
-    the arithmetic, instead add a term (A_i . W A_j W) per PSD group, with W
-    broadcast over the group's blocks. Any LP term A diag(w2) A^T is added,
-    in group order, and a sum of terms is symmetrized. Those M, and any M
-    whose LU fails, take a jittered Cholesky factor.
+    M is dense, assembled for all instances as one stack. With W = R R^H on
+    a PSD block, Re tr(A_i W A_j W) = <svec(R^H A_i R), svec(R^H A_j R)>
+    (see :func:`_svec`), so the PSD part of M is G G^T, where G (m, sum of
+    svec widths) holds those svecs side by side, block by block: one
+    product per instance, which numpy runs as BLAS syrk, exactly symmetric.
+    A block fills only its rows of G that touch it; the others stay 0 in
+    `_Standardized.gram`. Problems with fewer than _GRAM_MIN_ROWS rows,
+    whose cost is the number of numpy calls rather than the arithmetic,
+    instead add a term (A_i . W A_j W) per PSD group, with W broadcast over
+    the group's blocks. The LP group adds its term A diag(w2) A^T, one
+    product per instance, in group order, and a sum of terms is
+    symmetrized. Every M takes a jittered Cholesky factor.
     """
 
     def __init__(self, std: _Standardized, nt: _NTScaling):
-        if std.pure_lp:
-            a = std.groups[0].csc
-            self._systems = [
-                _sparse_system((a.multiply(dk) @ a.T).tocsc()) for dk in nt.w2[0]
-            ]
-            return
         terms = [] if std.gram is None else [self._gram(std, nt)]
         for gi, g in enumerate(std.groups):
             if g.sdp and std.gram is None:
@@ -715,9 +691,8 @@ class _SchurSolver:
                 waw = np.matmul(w, np.matmul(g.stack, w))
                 flat = waw.reshape(len(waw), std.m, -1).view(float)
                 terms.append(np.matmul(g.flat, flat.swapaxes(1, 2)))
-            elif not g.sdp and g.mat.nnz:
-                a = g.mat
-                terms.append(np.stack([(a.multiply(w2) @ a.T).toarray() for w2 in nt.w2[gi]]))
+            elif not g.sdp:
+                terms.append(np.matmul(g.flat * nt.w2[gi][:, None], g.flat.T))
         mat = functools.reduce(np.add, terms)
         if len(terms) > 1 or std.gram is None:  # G G^T is exactly symmetric
             mat = (mat + mat.swapaxes(1, 2)) / 2.0
@@ -749,17 +724,6 @@ class _SchurSolver:
         if not np.isfinite(y).all():
             raise SolverFailure("Schur solve produced non-finite values")
         return y
-
-
-def _sparse_system(mat):
-    """A sparse M and its solve: sparse LU, or jittered Cholesky of the
-    dense M when the LU fails."""
-    try:
-        return mat, scipy.sparse.linalg.splu(mat).solve
-    except (RuntimeError, scipy.linalg.LinAlgError):
-        mat = mat.toarray()
-        mat = (mat + mat.T) / 2.0
-        return mat, _dense_solver(mat)
 
 
 def _max_step_lp(x: np.ndarray, delta: np.ndarray) -> np.ndarray:

@@ -307,6 +307,7 @@ def make_channel(
       classical(matrix): row-stochastic N(y|x), diagonal Choi
       identity(d)
       constant(sigma, dim_in): rho -> tr(rho) sigma
+    The qubit-only families, amplitude_damping and dephasing, reject d != 2.
     """
     if family == "depolarizing":
         pr = _unit_interval("p", p)
@@ -314,6 +315,8 @@ def make_channel(
             raise ValueError("d must be positive")
         j = (1.0 - pr) * _identity_choi(d) + (pr / d) * identity_matrix(d * d)
         return QuantumChannel(d, d, j)
+    if family in ("amplitude_damping", "dephasing") and d != 2:
+        raise ValueError(f"{family} is qubit-only, got d = {d}")
     if family == "amplitude_damping":
         rr = _unit_interval("r", r)
         e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - rr)]], dtype=np.complex128)

@@ -89,6 +89,13 @@ def test_classical_lp_inline_and_file(tmp_path, capsys):
     assert run(["classical-lp", "--matrix", f"@{path}", "--eps", "0"]) == 0
     from_file = _kv(capsys.readouterr().out.strip())
     assert from_file["tr_v"] == inline["tr_v"]
+    # A peaked 8 x 8 channel at tight tolerances.
+    u = np.random.default_rng([1, 8]).random((8, 8)) ** 3
+    rows = (u / u.sum(axis=1, keepdims=True)).tolist()
+    matrix = ";".join(",".join(map(repr, row)) for row in rows)
+    assert run(["classical-lp", "--matrix", matrix, "--eps", "0.05",
+                "--gap-tol", "1e-9", "--feas-tol", "1e-9"]) == 0
+    capsys.readouterr()
 
 
 def test_choi_file_roundtrip(tmp_path, capsys):
@@ -130,6 +137,10 @@ def test_usage_errors(capsys):
                 "--eps", "1.5"]) == 2
     assert run(["cost", "--family", "depolarizing", "--p", "0.1",
                 "--code", "magic"]) == 2
+    # The qubit-only families reject any other dimension.
+    assert run(["cost", "--family", "dephasing", "--d", "3", "--p", "0.1"]) == 2
+    assert run(["cost", "--family", "amplitude-damping", "--d", "3", "--r", "0.1"]) == 2
+    assert "qubit-only, got d = 3" in capsys.readouterr().err
     assert run(["figure2"]) == 2
     assert run(["figure2", "--out", "/tmp/x.csv", "--n-max", "0"]) == 2
     assert run(["figure2", "--out", "/tmp/x.csv", "--jobs", "0"]) == 2

@@ -521,8 +521,8 @@ class TestSolverProperties:
             )
 
     def test_lp_path_agrees_with_mixed_path(self):
-        # Same LP solved via the sparse pure-LP route and with a dummy SDP
-        # block alongside (forcing the dense route).
+        # Same LP solved alone and with a dummy SDP block alongside, which
+        # adds a PSD group to the Schur matrix and the step lengths.
         rng = np.random.default_rng(99)
         for _ in range(5):
             a = rng.standard_normal((6, 10))
@@ -983,18 +983,16 @@ class TestBlockGroups:
 
     def test_lp_group_matrix_is_its_blocks_side_by_side(self):
         # The LP blocks' stacks and the slack's unit columns, as hstack
-        # builds them: same entries in the same canonical CSR order.
+        # builds them: the same entries, bit for bit.
         problem = grouped_batch(1)[0]
         lp = conic._Standardized([problem]).groups[1]
-        want = scipy.sparse.hstack(
-            [scipy.sparse.csr_matrix(problem._stacks[bi]) for bi in lp.members]
-            + [scipy.sparse.eye(12, format="csr")[:, np.flatnonzero(problem._le)]],
-            format="csr",
-        )
-        for got, ref in ((lp.mat, want), (lp.mat_t, want.T.tocsr()), (lp.csc, want.tocsc())):
-            assert got.shape == ref.shape
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        slack = np.eye(12)[:, np.flatnonzero(problem._le)]
+        want = np.hstack([problem._stacks[bi] for bi in lp.members] + [slack])
+        assert lp.flat.shape == want.shape and lp.flat.dtype == want.dtype
+        assert lp.flat.tobytes() == want.tobytes()
+        # With no "le" row, the group runs on the stored stack: no copy.
+        eq = ConicProblem((Block("lp", 2),), (np.ones(2),), (Constraint((np.ones(2),), 1.0),))
+        assert np.shares_memory(conic._Standardized([eq]).groups[0].flat, eq._stacks[0])
 
     def test_linear_maps_are_their_definitions(self):
         # A x, A^T y and the inner products, one product per group, against

@@ -236,6 +236,8 @@ class TestMakeChannel:
             {"family": "amplitude_damping"},
             {"family": "classical", "matrix": [[0.5, 0.2], [0.3, 0.7]]},
             {"family": "nosuch", "p": 0.5},
+            {"family": "amplitude_damping", "d": 3, "r": 0.1},  # qubit-only
+            {"family": "dephasing", "d": 3, "p": 0.1},
         ],
     )
     def test_parameter_validation(self, kwargs):

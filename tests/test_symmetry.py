@@ -285,6 +285,20 @@ def test_classical_lp_without_simulator_matches_highs():
             assert abs(mine - ref) <= 1e-8 * ref, (shape, eps)
 
 
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_classical_lp_at_tight_tolerances_matches_highs(n):
+    # Cubed uniform rows give peaked channels, whose Schur matrices are
+    # badly conditioned in the last iterations.
+    for seed in range(5):
+        u = np.random.default_rng([seed, n]).random((n, n)) ** 3
+        mat = u / u.sum(axis=1, keepdims=True)
+        for eps in (0.01, 0.05, 0.2):
+            # Any status but optimal raises SolverFailure.
+            mine = classical_cost_lp(mat, eps, gap_tol=1e-10, feas_tol=1e-10).tr_v_opt
+            ref = classical_cost_linprog(mat, eps)
+            assert abs(mine - ref) <= 1e-8 * ref, (seed, eps)
+
+
 def test_classical_lp_monotone_in_eps():
     mat = np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]])
     vals = [classical_cost_lp(mat, e).tr_v_opt for e in (0.0, 0.05, 0.2)]
