@@ -67,11 +67,14 @@ def _validate(args: argparse.Namespace) -> None:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if "eps_list" in args:
-        args.eps_list = (
-            tuple(float(tok) for tok in args.eps_list.split(","))
-            if args.eps_list
-            else _FIG2_EPS
-        )
+        # An omitted flag takes the defaults; an empty one names no tolerance,
+        # which emit_figure2 rejects.
+        if args.eps_list is None:
+            args.eps_list = _FIG2_EPS
+        elif args.eps_list:
+            args.eps_list = tuple(float(tok) for tok in args.eps_list.split(","))
+        else:
+            args.eps_list = ()
     if "n_max" in args and args.n_max < 1:
         raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
     if "grid" in args and args.grid < 2:
@@ -218,9 +221,9 @@ _DEPOL_HEADER = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_us
 
 
 def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
-    # One sweep waterfills every tolerance of a blocklength from one table of
-    # Bell-spectrum groups; figure2's 900 points to n = 300 take tens of
-    # milliseconds, so the rows are computed in process: a worker pool would
+    # One sweep waterfills every blocklength and tolerance from a few 2-D
+    # tables of Bell-spectrum groups; figure2's 900 points to n = 300 take
+    # under 20 ms, so the rows are computed in process: a worker pool would
     # cost more to start than it saves.
     qe = _fmt(depolarizing_mutual_info(d, p) / 2.0)
     return [

@@ -18,10 +18,13 @@ assembled in the log domain: group sizes and values span thousands of
 orders of magnitude long before n reaches 300, and t* itself can lie far
 below the range of double precision even though D^2 t* stays moderate.
 
-One core prices a whole sweep: `depolarizing_sweep` takes the log-factorials
-once, builds each blocklength's groups once and waterfills every tolerance
-from them; `depolarizing_cost_lp` is that core on one blocklength. The group
-masses are checked to sum to 1.
+One core prices a whole sweep: `depolarizing_sweep` stacks the groups of
+many blocklengths into one 2-D table, a row per blocklength padded with
+empty groups, and `_waterfill` places the level of every row at every
+tolerance in one array pass. The sweep takes its blocklengths in chunks
+whose table stays under a fixed number of entries, so its memory does not
+grow with n_max; `depolarizing_cost_lp` is the same core on the one row n.
+Each row's group masses are checked to sum to 1.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ from .qmat import _unit_interval, row_stochastic
 
 _NORMALIZATION_TOL = 1e-9
 _MAX_LOG2_TRV = 1020.0
+# The most entries of one 2-D group table: a sweep waterfills its
+# blocklengths in chunks that fit, about 2 MB of temporaries each. Larger
+# tables are no faster, and an unchunked sweep to n = 3000 would take
+# several hundred MB.
+_TABLE_ENTRIES = 2**14
 
 
 def _check_dp_args(n, d, p):
@@ -72,7 +80,7 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     """
     n, d, p = _check_dp_args(n, d, p)
     eps = _unit_interval("eps", eps)
-    return _depolarizing_costs(n, d, p, _log_factorials(n), (eps,))[0]
+    return _depolarizing_costs(n, n, d, p, (eps,))[0][0]
 
 
 def depolarizing_sweep(
@@ -81,84 +89,114 @@ def depolarizing_sweep(
     """`depolarizing_cost_lp` at n = 1..n_max and every tolerance.
 
     Entry n - 1 holds one CostResult per entry of eps_values, each equal to
-    `depolarizing_cost_lp(n, d, p, eps)`. Every tolerance of a blocklength is
-    waterfilled from one table of groups.
+    `depolarizing_cost_lp(n, d, p, eps)`. Every tolerance of every
+    blocklength is waterfilled from one table of groups per chunk of
+    blocklengths.
 
     Raises:
-        ValueError: on invalid arguments, or at the first blocklength whose
-            log2 tr V would exceed the range of double precision.
+        ValueError: on invalid arguments, or when log2 tr V would exceed the
+            range of double precision at some blocklength; the message gives
+            its value at the first such blocklength.
     """
     n_max, d, p = _check_dp_args(n_max, d, p)
     eps_values = tuple(_unit_interval("eps", eps) for eps in eps_values)
-    lgam = _log_factorials(n_max)
-    return [_depolarizing_costs(n, d, p, lgam, eps_values) for n in range(1, n_max + 1)]
+    return _depolarizing_costs(1, n_max, d, p, eps_values)
 
 
-def _log_factorials(n_max: int) -> np.ndarray:
-    return np.array([math.lgamma(j + 1) for j in range(n_max + 1)])
-
-
-def _depolarizing_costs(n: int, d: int, p: float, lgam: np.ndarray, eps_values):
-    """The costs of n uses at each tolerance, as `depolarizing_cost_lp`
-    documents, from the log-factorials lgam[j] = log j!, j = 0..n or beyond."""
+def _depolarizing_costs(n_lo: int, n_hi: int, d: int, p: float, eps_values):
+    """The costs of n = n_lo..n_hi uses at each tolerance, as
+    `depolarizing_cost_lp` documents: one tuple per blocklength."""
     a, b = _bell_values(d, p)
+    ns = np.arange(n_lo, n_hi + 1)
     # tr V at eps = 0 is (d^2 a)^n; one product makes it 1 exactly at p = 1.
-    log2_cap = n * math.log2(d * d * a)
-    if log2_cap > _MAX_LOG2_TRV:
-        raise ValueError(f"log2 tr V can reach {log2_cap:.1f} bits at these "
-                         "parameters, beyond double-precision range")
-    k = np.arange(n, -1, -1)  # group k = n..0, in decreasing order of value
-    j = n - k  # the uses on one of the d^2 - 1 other Bell states
-    log_size = lgam[n] - lgam[k] - lgam[j] + j * math.log(d * d - 1)
-    log_b = math.log(b) if b > 0.0 else -math.inf  # b^0 = 1 also at b = 0:
-    log_b_power = np.multiply(j, log_b, out=np.zeros(n + 1), where=j > 0)
-    log_value = k * math.log(a) + log_b_power
-    log2_dim2 = 2 * n * math.log2(d)
-    costs = []
-    for eps, log_t in zip(eps_values, _waterfill(log_size, log_value, eps_values)):
-        log2_trv = log2_dim2 + log_t / math.log(2.0) if eps > 0.0 else log2_cap
-        # At or below the floor D^-2 of the level, tr V = 1 exactly: 2n log2 d
-        # and log2 t would not cancel in floating point.
-        log2_trv = max(log2_trv, 0.0)
-        costs.append(cost_result_from_trv(2.0**log2_trv, log2_trv=log2_trv))
-    return tuple(costs)
+    log2_cap = ns * math.log2(d * d * a)
+    too_big = log2_cap > _MAX_LOG2_TRV
+    if too_big.any():
+        raise ValueError(f"log2 tr V can reach {log2_cap[too_big.argmax()]:.1f} "
+                         "bits at these parameters, beyond double-precision range")
+    lgam = np.array([math.lgamma(j + 1) for j in range(n_hi + 1)])
+    log_b = math.log(b) if b > 0.0 else -math.inf
+    log_t = np.empty((len(ns), len(eps_values)))
+    lo = n_lo
+    while lo <= n_hi:
+        # Rows lo..hi, hi + 1 groups wide: rows * (lo + rows) <= _TABLE_ENTRIES.
+        rows = (math.isqrt(lo * lo + 4 * _TABLE_ENTRIES) - lo) // 2
+        hi = min(n_hi, lo + max(rows, 1) - 1)
+        n = np.arange(lo, hi + 1)[:, None]
+        j = np.arange(hi + 1)  # the uses on one of the d^2 - 1 other Bell states
+        k = n - j  # the uses on the identity Bell state, negative in the padding
+        log_size = lgam[n] - lgam[k] - lgam[j] + j * math.log(d * d - 1)
+        # b^0 = 1, also at b = 0
+        log_b_power = np.multiply(j, log_b, out=np.zeros(hi + 1), where=j > 0)
+        log_value = k * math.log(a) + log_b_power
+        pad = k < 0
+        log_size[pad] = log_value[pad] = -math.inf
+        log_t[lo - n_lo : hi - n_lo + 1] = _waterfill(log_size, log_value, eps_values)
+        lo = hi + 1
+    log2_trv = np.where(
+        np.array(eps_values) > 0.0,
+        (2 * ns * math.log2(d))[:, None] + log_t / math.log(2.0),
+        log2_cap[:, None],
+    )
+    # At or below the floor D^-2 of the level, tr V = 1 exactly: 2n log2 d
+    # and log2 t would not cancel in floating point.
+    return [
+        tuple(cost_result_from_trv(2.0**x, log2_trv=x) for x in row)
+        for row in np.maximum(log2_trv, 0.0).tolist()
+    ]
 
 
-def _waterfill(log_size: np.ndarray, log_value: np.ndarray, eps_values):
-    """Yield the natural log of the level t* = min{t : sum_i (lam_i - t)_+ <=
-    eps} for each tolerance, over a spectrum given as groups of equal
-    eigenvalues.
+def _waterfill(log_size: np.ndarray, log_value: np.ndarray, eps_values) -> np.ndarray:
+    """The natural log of the level t* = min{t : sum_i (lam_i - t)_+ <= eps}
+    for each table of a batch and each tolerance, as a (tables, tolerances)
+    array.
 
-    Group j holds exp(log_size[j]) eigenvalues of value exp(log_value[j]),
-    in decreasing order of value, and the masses must sum to 1. With the
-    head 0..i above the level, t lies in [v_(i+1), v_i], the mass clipped
-    is H_i - t W_i and the mass kept is T_i + t W_i, with head mass H_i,
-    tail mass T_i = 1 - H_i and head size W_i. The level lies in the first
-    head that clips more than eps at the next value down, at
-    t = (H_i - eps) / W_i. Both that test and the numerator are taken from
-    the smaller of H_i and T_i, as H_i - v_(i+1) W_i > eps and H_i - eps or
-    as T_i + v_(i+1) W_i < 1 - eps and (1 - eps) - T_i, so that no
-    difference of two numbers near 1 decides anything, whether eps is near
-    0 or near 1. At eps = 0 the level is the largest value, and at eps = 1
-    it is -inf.
+    Row r of the 2-D inputs is one spectrum, given as groups of equal
+    eigenvalues: group j holds exp(log_size[r, j]) eigenvalues of value
+    exp(log_value[r, j]), in decreasing order of value, and the masses must
+    sum to 1. A row shorter than the batch ends in padding groups with
+    log_size = log_value = -inf: they carry no mass, and each reads like the
+    row's last group, so they never move its level. With the head 0..i
+    above the level, t lies in [v_(i+1), v_i], the mass clipped is
+    H_i - t W_i and the mass kept is T_i + t W_i, with head mass H_i, tail
+    mass T_i = 1 - H_i and head size W_i. The level lies in the first head
+    that clips more than eps at the next value down, at t = (H_i - eps) / W_i.
+    Both that test and the numerator are taken from the smaller of H_i and
+    T_i, as H_i - v_(i+1) W_i > eps and H_i - eps or as
+    T_i + v_(i+1) W_i < 1 - eps and (1 - eps) - T_i, so that no difference
+    of two numbers near 1 decides anything, whether eps is near 0 or near 1.
+    At eps = 0 the level is the largest value, and at eps = 1 it is -inf.
     """
     mass = np.exp(log_size + log_value)
-    head_mass = np.cumsum(mass)
-    if abs(head_mass[-1] - 1.0) > _NORMALIZATION_TOL:
-        raise ValueError(f"group masses sum to {head_mass[-1]}, expected 1")
-    tail_mass = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)
-    log_head_size = np.logaddexp.accumulate(log_size)
-    at_next = np.exp(log_head_size + np.append(log_value[1:], -math.inf))
+    head_mass = np.cumsum(mass, axis=1)
+    bad = np.abs(head_mass[:, -1] - 1.0) > _NORMALIZATION_TOL
+    if bad.any():
+        raise ValueError(f"group masses sum to {head_mass[bad.argmax(), -1]}, expected 1")
+    tail_mass = np.zeros_like(mass)
+    tail_mass[:, :-1] = np.cumsum(mass[:, :0:-1], axis=1)[:, ::-1]
+    log_head_size = np.logaddexp.accumulate(log_size, axis=1)
+    log_next_value = np.full_like(log_value, -math.inf)
+    log_next_value[:, :-1] = log_value[:, 1:]
+    at_next = np.exp(log_head_size + log_next_value)
     small_head = head_mass <= tail_mass
     clipped_at_next, kept_at_next = head_mass - at_next, tail_mass + at_next
-    for eps in eps_values:
+    rows = np.arange(len(mass))
+    log_t = np.full((len(mass), len(eps_values)), -math.inf)
+    for col, eps in enumerate(eps_values):
+        if eps == 0.0:
+            log_t[:, col] = log_value[:, 0]
+            continue
         over = np.where(small_head, clipped_at_next > eps, kept_at_next < 1.0 - eps)
-        log_t = float(log_value[0]) if eps == 0.0 else -math.inf
-        if eps > 0.0 and over.any():
-            i = over.argmax()
-            num = head_mass[i] - eps if small_head[i] else (1.0 - eps) - tail_mass[i]
-            log_t = math.log(num) - float(log_head_size[i])
-        yield log_t
+        i = over.argmax(axis=1)
+        hit = over[rows, i]
+        i, at = i[hit], rows[hit]
+        num = np.where(small_head[at, i], head_mass[at, i] - eps,
+                       (1.0 - eps) - tail_mass[at, i])
+        # libm's log, as everywhere else here: numpy's SIMD log can round the
+        # last bit differently.
+        log_num = np.array([math.log(x) for x in num.tolist()])
+        log_t[at, col] = log_num - log_head_size[at, i]
+    return log_t
 
 
 def classical_cost_lp(

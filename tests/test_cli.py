@@ -145,6 +145,9 @@ def test_usage_errors(capsys):
     assert run(["figure2", "--out", "/tmp/x.csv", "--n-max", "0"]) == 2
     assert run(["figure2", "--out", "/tmp/x.csv", "--jobs", "0"]) == 2
     assert run(["figure3", "--out", "/tmp/x.csv", "--grid", "1"]) == 2
+    # An empty tolerance list is no request for the default one.
+    assert run(["figure2", "--out", "/tmp/x.csv", "--eps-list", ""]) == 2
+    assert "eps_list must name at least one tolerance" in capsys.readouterr().err
     # Invalid solver options are usage errors, found before any iteration.
     zero = ["zero-error", "--family", "depolarizing", "--p", "0.1"]
     assert run([*zero, "--gap-tol", "-1"]) == 2

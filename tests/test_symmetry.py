@@ -1,6 +1,7 @@
 """Tests for the depolarizing waterfilling and the classical cost LP."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,24 +154,47 @@ def test_cost_lp_validates_arguments():
 # Depolarizing sweep
 
 
+def _assert_same_bits(got, want, where):
+    for field in ("tr_v_opt", "half_log_trv", "cost_bits", "delta"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert float(a).hex() == float(b).hex(), (*where, field)
+    assert got.m_star == want.m_star, where
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_sweep_is_the_per_point_lp_bitwise(d):
     # p = 0 gives every Bell state but the identity one value 0 and p = 1
     # gives all of them one value; eps = 0 takes the cap and eps = 1 the
-    # floor d^-2n of the level. Every call also checks that the masses sum
-    # to 1.
-    eps_values = (0.0, 5e-4, 0.05, 0.3, 1.0)
-    for p in (0.0, 0.15, 0.5, 1.0):
+    # floor d^-2n of the level. eps = 1e-100 clips a tiny head, 1 - 1e-15
+    # nearly everything, and p = 1e-6 gives b near 0: there the padding of
+    # the sweep's tables would leak into the level first. Every call also
+    # checks that the masses sum to 1.
+    eps_values = (0.0, 1e-100, 5e-4, 0.05, 0.3, 1 - 1e-15, 1.0)
+    for p in (0.0, 1e-6, 0.15, 0.5, 1.0):
         rows = depolarizing_sweep(60, d, p, eps_values)
         assert len(rows) == 60
         for n, costs in enumerate(rows, 1):
             assert len(costs) == len(eps_values)
             for eps, got in zip(eps_values, costs):
-                want = depolarizing_cost_lp(n, d, p, eps)
-                for field in ("tr_v_opt", "half_log_trv", "cost_bits", "delta"):
-                    a, b = getattr(got, field), getattr(want, field)
-                    assert float(a).hex() == float(b).hex(), (n, p, eps, field)
-                assert got.m_star == want.m_star, (n, p, eps)
+                _assert_same_bits(got, depolarizing_cost_lp(n, d, p, eps), (n, p, eps))
+
+
+def test_long_sweep_is_the_per_point_lp_across_chunks_in_little_memory():
+    # At p = 0.999 the cap grows 0.0043 bits per use, so n = 2000 is in
+    # range. The sweep splits it into many tables; an unchunked one would
+    # need several hundred MB.
+    eps_values = (5e-3, 0.5)
+    tracemalloc.start()
+    try:
+        rows = depolarizing_sweep(2000, 2, 0.999, eps_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2000
+    assert peak < 64e6, peak
+    for n in sorted({1, *range(37, 2001, 37), 2000}):
+        for eps, got in zip(eps_values, rows[n - 1]):
+            _assert_same_bits(got, depolarizing_cost_lp(n, 2, 0.999, eps), (n, eps))
 
 
 def test_figure2_sweep_matches_waterfilling_oracle():
