@@ -21,7 +21,9 @@ real, and on real blocks the views are the arrays themselves, so real data
 run the same arithmetic as a real-only solver. The builder
 :class:`HermitianProgram` states programs as linear matrix inequalities
 over real parameters, passes their Lagrange duals to this form, and gives
-them real blocks whenever the data allow it.
+them real blocks whenever the data allow it. It works on whole stacks: maps
+act on the last axes, once per variable's stack of basis elements
+(:meth:`Affine.map`), and `build` tests and stores each stack as it is.
 
 Standardized form. :class:`ConicProblem` takes per block the rows that
 give it an entry and those entries stacked, from the builder or gathered
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -291,18 +294,22 @@ def _entries(block: Block, rows, part: np.ndarray, real: bool, bi: int, errors: 
     """
     sdp = block.kind == "sdp"
     part = np.asarray(part, complex if sdp and part.dtype.kind == "c" else float)
-    finite = np.isfinite(part)
-    bad = np.flatnonzero(~finite.all(axis=tuple(range(1, part.ndim))))
+    # The tests' scale, max(1, max |entry|), is NaN where an entry is not finite.
+    scale = _scale(part) if sdp else None
+    finite = np.isfinite(part) if scale is None or np.isnan(scale).any() else None
+    bad = () if finite is None else np.flatnonzero(~finite.all(axis=tuple(range(1, part.ndim))))
     what = f": {block.kind.upper()} entry is not finite"
     errors.extend((rows[k], bi, what) for k in bad)
     if not sdp:
         return part
-    part = np.where(finite, part, 0.0) if len(bad) else part
+    if len(bad):
+        part = np.where(finite, part, 0.0)
+        scale = _scale(part)
     if real and part.dtype.kind == "c":
-        for k in np.flatnonzero(_imaginary(part)):
+        for k in np.flatnonzero(_large(part.imag, scale)):
             errors.append((rows[k], bi, ": SDP entry is complex on a real block"))
         part = part.real
-    for k in np.flatnonzero(_large(part - _h(part), _scale(part))):
+    for k in np.flatnonzero(_large(part - _h(part), scale)):
         errors.append((rows[k], bi, ": SDP entry is not Hermitian"))
     return _sym(part)
 
@@ -1059,13 +1066,6 @@ def _large(part: np.ndarray, scale) -> np.ndarray:
     return ~(np.abs(part).max(axis=(-2, -1)) <= 1e-10 * scale)
 
 
-def _imaginary(c: np.ndarray) -> np.ndarray:
-    """The conjugation test of :class:`HermitianProgram` on PSD entries:
-    whether an imaginary part is above 1e-10 relative to max(1, max |c|),
-    over the last two axes."""
-    return _large(c.imag, _scale(c))
-
-
 class Affine:
     """An affine function offset + sum_k t_k B_k of a program's real
     parameters t, with values of one shape (a number, vector or matrix).
@@ -1082,11 +1082,21 @@ class Affine:
         self.terms = terms
 
     def map(self, fn, *args) -> Affine:
-        """fn(self, *args), for fn linear in its first argument."""
-        return Affine(
-            fn(self.offset, *args),
-            {s: np.stack([fn(b, *args) for b in st]) for s, st in self.terms.items()},
-        )
+        """fn(self, *args), for fn linear in its first argument and acting on
+        its last axes (two of a matrix, one of a vector) like a gufunc, as
+        np.trace(a, axis1=-2, axis2=-1) or the maps of :mod:`nscost.qmat`
+        do: fn is called once on the offset and once on each variable's
+        stack of B_k, given with one more leading axis. An image of that
+        (1, k, ...) stack not shaped (1, k, *image of the offset), as
+        np.trace(a) or np.transpose(a) give for every k, raises ValueError."""
+        offset, terms = np.asarray(fn(self.offset, *args)), {}
+        for start, stack in self.terms.items():
+            image = np.asarray(fn(stack[None], *args))
+            if image.shape != (1, len(stack), *offset.shape):
+                raise ValueError(f"map takes a stack {stack[None].shape} to {image.shape}: "
+                                 "fn must act on the last axes")
+            terms[start] = image[0]
+        return Affine(offset, terms)
 
     def __add__(self, other) -> Affine:
         if not isinstance(other, Affine):
@@ -1167,12 +1177,15 @@ class HermitianProgram:
         self._kept = np.zeros(0, dtype=int)
 
     def variable(self, basis, offset=None) -> Affine:
-        """A new variable offset + sum_k t_k basis[k]; offset defaults to 0."""
+        """A new variable offset + sum_k t_k basis[k]; offset defaults to 0
+        and must otherwise have the shape of a basis element."""
         basis = np.asarray(basis)
+        offset = np.zeros(basis.shape[1:]) if offset is None else np.asarray(offset)
+        if offset.shape != basis.shape[1:]:
+            raise ValueError(f"offset shape {offset.shape} does not match basis "
+                             f"element shape {basis.shape[1:]}")
         start = self._n_params
         self._n_params += len(basis)
-        if offset is None:
-            offset = np.zeros(basis.shape[1:])
         return Affine(offset, {start: basis})
 
     def add_lmi(self, expr: Affine) -> None:
@@ -1195,23 +1208,21 @@ class HermitianProgram:
         entry has an imaginary part above 1e-10 relative. :meth:`build`
         gives real blocks only then, and only if the rows pass too; the rows
         do not depend on F0."""
-        return not any(c.ndim == 2 and _imaginary(c) for c in objective)
+        return not any(c.ndim == 2 and _large(c.imag, _scale(c)) for c in objective)
 
     def build(self) -> ConicProblem:
-        # Per LMI: its block, -F0 and, for the parameters of the variables
-        # it involves, their indices and the stack of their F_k.
-        blocks, coeffs = [], []
+        # Per LMI: its block, -F0 and, per variable it involves, the
+        # indices of its parameters and the stack of their F_k, as it is.
+        blocks, terms = [], []
         objective = self.built_objective()
         for lmi, c in zip(self._lmis, objective):
-            shape = c.shape
-            blocks.append(Block("lp" if c.ndim < 2 else "sdp", shape[0]))
-            rows = [np.arange(s, s + len(st)) for s, st in lmi.terms.items()]
-            stack = [st.reshape(len(st), *shape) for st in lmi.terms.values()]
-            coeffs.append((np.concatenate(rows), np.concatenate(stack)))
+            blocks.append(Block("lp" if c.ndim < 2 else "sdp", c.shape[0]))
+            terms.append([(np.arange(s, s + len(st)), st.reshape(len(st), *c.shape))
+                          for s, st in lmi.terms.items()])
         rhs = np.zeros(self._n_params)
         for start, st in self._objective.terms.items():
             rhs[start : start + len(st)] = np.real(st)
-        kept = _real_rows(blocks, objective, coeffs, rhs)
+        kept = _real_rows(objective, terms, rhs)
         real = kept is not None
         self._kept = kept if real else np.arange(self._n_params)
         # Per block, -F0 as row 0, then the kept rows with a nonzero
@@ -1219,13 +1230,14 @@ class HermitianProgram:
         row_of = np.full(self._n_params, -1)
         row_of[self._kept] = np.arange(1, len(self._kept) + 1)
         pieces = []
-        for c, (rows, stack) in zip(objective, coeffs):
-            if real:
-                c, stack = np.real(c), stack.real
-            keep = (row_of[rows] > 0) & np.any(stack != 0, axis=tuple(range(1, stack.ndim)))
-            if not keep.all():
-                rows, stack = rows[keep], stack[keep]
-            pieces.append([(np.zeros(1, dtype=int), c[None]), (row_of[rows], stack)])
+        for c, block_terms in zip(objective, terms):
+            pieces.append([(np.zeros(1, dtype=int), np.real(c)[None] if real else c[None])])
+            for rows, st in block_terms:
+                st = st.real if real else st
+                keep = (row_of[rows] > 0) & st.any(axis=tuple(range(1, st.ndim)))
+                if not keep.all():
+                    rows, st = rows[keep], st[keep]
+                pieces[-1].append((row_of[rows], st))
         problem = ConicProblem.__new__(ConicProblem)
         problem._set(tuple(blocks), pieces, rhs[self._kept], ["eq"] * len(self._kept), True)
         return problem
@@ -1245,37 +1257,41 @@ class HermitianProgram:
         return float(np.real(self._objective.offset) + solution.dual_value)
 
 
-def _real_rows(blocks: list, objective: list, coeffs: list, rhs: np.ndarray):
+def _real_rows(objective: list, terms: list, rhs: np.ndarray):
     """The indices of the rows kept with real blocks, or None when the data
     are not invariant under complex conjugation.
 
-    `coeffs` holds per block the rows it enters and their coefficients,
-    which are tested as one stack.
+    `terms` holds per block the rows each variable enters and their
+    coefficients.
     """
     if not HermitianProgram.is_real(objective):
         return None
     n_rows = len(rhs)
-    # Per row: some PSD coefficient has an imaginary part; every PSD
-    # coefficient is purely imaginary and Hermitian, hence antisymmetric;
-    # the largest PSD scale; the largest |rhs| or |LP coefficient|.
+    # Per row: some PSD coefficient has an imaginary part; the largest PSD
+    # scale; the largest |rhs| or |LP coefficient|.
     imaginary = np.zeros(n_rows, dtype=bool)
-    antisymmetric = np.ones(n_rows, dtype=bool)
     scale = np.ones(n_rows)
     rest = np.abs(rhs)
-    for block, (rows, c) in zip(blocks, coeffs):
-        if block.kind == "lp":
+    mags = []
+    for rows, c in itertools.chain(*terms):
+        if c.ndim == 2:  # an LP block
             rest[rows] = np.maximum(rest[rows], np.abs(c).max(axis=1))
+            mags.append(None)
             continue
-        mag = _scale(c)
-        imaginary[rows] |= _large(c.imag, mag)
-        antisymmetric[rows] &= ~(
-            _large(c.real, mag) | _large(c + c.transpose(0, 2, 1), mag)
-        )
-        scale[rows] = np.maximum(scale[rows], mag)
-    # A purely imaginary Hermitian coefficient reads 0 on every real
-    # symmetric X, so its row may only be dropped when it asks for 0.
-    # Non-Hermitian data fall through to complex blocks, which reject them.
-    droppable = antisymmetric & (rest <= 1e-10 * scale)
+        mags.append(_scale(c))
+        imaginary[rows] |= _large(c.imag, mags[-1])
+        scale[rows] = np.maximum(scale[rows], mags[-1])
+    # A purely imaginary Hermitian (hence antisymmetric) coefficient reads 0
+    # on every real symmetric X, so its row may only be dropped when it asks
+    # for 0; only such rows take the antisymmetry test. Non-Hermitian data
+    # fall through to complex blocks, which reject them.
+    droppable = rest <= 1e-10 * scale
+    for (rows, c), mag in zip(itertools.chain(*terms), mags):
+        at = np.flatnonzero(imaginary[rows] & droppable[rows]) if c.ndim == 3 else ()
+        if len(at):
+            c, mag = c[at], mag[at]
+            part = c if c.real.any() else c.imag  # |c + c^T| is |Im c + Im c^T| where Re c = 0
+            droppable[rows[at]] &= ~(_large(c.real, mag) | _large(part + part.swapaxes(1, 2), mag))
     if np.any(imaginary & ~droppable):
         return None
     return np.flatnonzero(~imaginary)

@@ -188,10 +188,39 @@ def _normalize_code(code: str) -> str:
     raise ValueError(f"unknown code class {code!r}, expected 'NS' or 'NS_PPT'")
 
 
-def _product_basis(dims: list[int], drop=()) -> np.ndarray:
+def _built_once(build):
+    """`build`, a function of dimensions that returns a basis stack, with
+    its results read-only and kept for later calls when they take at most
+    1 MiB (a full basis of 16 x 16 matrices). Bigger bases are built per
+    call, so a process does not hold them once their program is gone."""
+    kept = {}
+
+    @functools.wraps(build)
+    def cached(*key):
+        stack = kept.get(key)
+        if stack is None:
+            stack = build(*key)
+            stack.setflags(write=False)
+            if stack.nbytes <= 2**20:
+                kept[key] = stack
+        return stack
+
+    return cached
+
+
+@_built_once
+def _basis_stack(basis, n: int) -> np.ndarray:
+    """basis(n), a list of n x n matrices such as hermitian_basis(n), as one
+    stack."""
+    return np.array(basis(n)).reshape(-1, n, n)
+
+
+@_built_once
+def _product_basis(dims: tuple, drop: tuple = ()) -> np.ndarray:
     """Orthonormal basis of the Hermitian operators on the product of `dims`:
     tensor products of one of 1/sqrt(d) and traceless_hermitian_basis(d) on
-    each system, 1/sqrt(d) standing for that multiple of the identity.
+    each system, 1/sqrt(d) standing for that multiple of the identity, as a
+    stack.
 
     A product is left out when its pattern matches one in `drop`, which
     names per system "1" for 1/sqrt(d), "T" for a traceless element and "."
@@ -210,13 +239,13 @@ def _product_basis(dims: list[int], drop=()) -> np.ndarray:
 def _channel_variable(hp: HermitianProgram, da: int, db: int) -> Affine:
     """A Hermitian J on A (x) B with tr_B J = 1_A: 1/d_B plus the components
     that are traceless on B."""
-    return hp.variable(_product_basis([da, db], [".1"]), np.eye(da * db) / db)
+    return hp.variable(_product_basis((da, db), (".1",)), np.eye(da * db) / db)
 
 
 def _add_diamond_ball(hp: HermitianProgram, delta, da: int, db: int, radius) -> None:
     """Require (1/2) ||Delta||_dia <= radius for a difference Delta of Choi
     matrices on A (x) B: tr_B Y <= radius 1_A with Y >= Delta and Y >= 0."""
-    y = hp.variable(hermitian_basis(da * db))
+    y = hp.variable(_basis_stack(hermitian_basis, da * db))
     hp.add_lmi(radius * np.eye(da) - y.map(partial_trace, [da, db], 1))
     hp.add_lmi(y - delta)
     hp.add_lmi(y)
@@ -283,7 +312,7 @@ def min_error_simulation(
     hp = HermitianProgram()
     gamma = hp.variable([1.0])
     j_pi = hp.variable(
-        _product_basis(dims, ["..11", "T.1T", ".TT1"]),
+        _product_basis(tuple(dims), ("..11", "T.1T", ".TT1")),
         np.eye(math.prod(dims)) / (d_ao * d_bo),
     )
     # J_M~ = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi
@@ -333,7 +362,7 @@ def _noiseless_program(m: int, n: QuantumChannel, code: str) -> HermitianProgram
 
     hp = HermitianProgram()
     gamma = hp.variable([1.0])
-    v = hp.variable(traceless_hermitian_basis(db), m * m / db * np.eye(db))
+    v = hp.variable(_basis_stack(traceless_hermitian_basis, db), m * m / db * np.eye(db))
     one_v = v.map(lift, [1], [da, db])  # 1_A (x) V
     if m == 1:
         # J~ = 1 (x) V exactly, which is >= 0 when V is.
@@ -344,7 +373,7 @@ def _noiseless_program(m: int, n: QuantumChannel, code: str) -> HermitianProgram
         hp.add_lmi(jt)
         hp.add_lmi(one_v - jt)
         if code == "NS_PPT":
-            one_vt = v.map(np.transpose).map(lift, [1], [da, db])
+            one_vt = v.map(np.swapaxes, -1, -2).map(lift, [1], [da, db])
             jt_tb = m * jt.map(partial_transpose, [da, db], 1)
             hp.add_lmi(one_vt - jt_tb)
             hp.add_lmi(one_vt + jt_tb)
@@ -361,10 +390,9 @@ def _zero_error_basis(da: int, db: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     They parametrize V in the zero-error program and depend only on the
     dimensions, so every channel of one (d_in, d_out) shares them.
     """
-    basis = np.array(hermitian_basis(db))
-    lifted = np.stack([lift(b, [1], [da, db]) for b in basis])
-    traces = np.trace(basis, axis1=1, axis2=2)
-    for a in (basis, lifted, traces):
+    basis = _basis_stack(hermitian_basis, db)
+    lifted, traces = lift(basis, [1], [da, db]), np.trace(basis, axis1=1, axis2=2)
+    for a in (lifted, traces):
         a.setflags(write=False)
     return basis, lifted, traces
 
@@ -429,11 +457,11 @@ def _eps_simulation_trv(n: QuantumChannel, eps: float, **solve_kw) -> float:
     da, db = n.dim_in, n.dim_out
     hp = HermitianProgram()
     jt = _channel_variable(hp, da, db)
-    v = hp.variable(hermitian_basis(db))
+    v = hp.variable(_basis_stack(hermitian_basis, db))
     _add_diamond_ball(hp, jt - n.choi, da, db, eps)
     hp.add_lmi(jt)
     hp.add_lmi(v.map(lift, [1], [da, db]) - jt)
-    hp.minimize(v.map(np.trace))
+    hp.minimize(v.map(lambda a: np.trace(a, axis1=-2, axis2=-1)))
     return _run(hp, **solve_kw)
 
 

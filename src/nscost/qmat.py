@@ -76,66 +76,80 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def _as_stack(m) -> np.ndarray:
+    """Coerce input to a complex128 matrix, or a stack of them (..., n, n)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-D matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def _check_dims(m: np.ndarray, dims: Sequence[int]) -> None:
     total = math.prod(dims)
-    if m.shape != (total, total):
+    if m.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {m.shape} does not match subsystem dims {list(dims)}"
         )
 
 
+def _check_index(i: int, nsys: int) -> int:
+    if not 0 <= i < nsys:
+        raise ValueError(f"subsystem index {i} out of range for {nsys} systems")
+    return i
+
+
 def _as_index_list(idx: int | Iterable[int], nsys: int) -> list[int]:
     if isinstance(idx, (int, np.integer)):
         idx = [int(idx)]
-    out = sorted({int(i) for i in idx})
-    for i in out:
-        if not 0 <= i < nsys:
-            raise ValueError(f"subsystem index {i} out of range for {nsys} systems")
-    return out
+    return [_check_index(i, nsys) for i in sorted({int(i) for i in idx})]
+
+
+# The subsystem maps below act on the last two axes, (..., n, n) with n the
+# product of `dims`, and keep the leading ones: a stack of matrices maps as
+# one array, matrix by matrix.
 
 
 def subsystem_permute(m, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors so output subsystem j is input subsystem perm[j]."""
-    a = as_matrix(m)
+    a = _as_stack(m)
     _check_dims(a, dims)
     k = len(dims)
     if sorted(perm) != list(range(k)):
         raise ValueError(f"perm {list(perm)} is not a permutation of 0..{k - 1}")
-    t = a.reshape(list(dims) + list(dims))
-    axes = list(perm) + [p + k for p in perm]
-    n = math.prod(dims)
-    return t.transpose(axes).reshape(n, n)
+    lead = a.ndim - 2
+    t = a.reshape(*a.shape[:-2], *dims, *dims)
+    axes = [*range(lead), *(lead + p for p in perm), *(lead + k + p for p in perm)]
+    return t.transpose(axes).reshape(a.shape)
 
 
 def partial_trace(m, dims: Sequence[int], traced: int | Iterable[int]) -> np.ndarray:
     """Trace out the listed subsystems of a multipartite matrix."""
-    a = as_matrix(m)
+    a = _as_stack(m)
     _check_dims(a, dims)
     traced_list = _as_index_list(traced, len(dims))
-    cur_dims = list(dims)
-    t = a.reshape(cur_dims + cur_dims)
+    lead, cur_dims = a.ndim - 2, list(dims)
+    t = a.reshape(*a.shape[:-2], *cur_dims, *cur_dims)
     for i in reversed(traced_list):
         k = len(cur_dims)
-        t = np.trace(t, axis1=i, axis2=i + k)
+        t = np.trace(t, axis1=lead + i, axis2=lead + i + k)
         del cur_dims[i]
     n = math.prod(cur_dims) if cur_dims else 1
-    return t.reshape(n, n)
+    return t.reshape(*a.shape[:-2], n, n)
 
 
 def partial_transpose(
     m, dims: Sequence[int], transposed: int | Iterable[int]
 ) -> np.ndarray:
     """Transpose the listed subsystems in place, leaving the others untouched."""
-    a = as_matrix(m)
+    a = _as_stack(m)
     _check_dims(a, dims)
     idx = _as_index_list(transposed, len(dims))
-    k = len(dims)
-    t = a.reshape(list(dims) + list(dims))
-    axes = list(range(2 * k))
+    lead, k = a.ndim - 2, len(dims)
+    t = a.reshape(*a.shape[:-2], *dims, *dims)
+    axes = list(range(lead + 2 * k))
     for i in idx:
-        axes[i], axes[i + k] = axes[i + k], axes[i]
-    n = math.prod(dims)
-    return t.transpose(axes).reshape(n, n)
+        axes[lead + i], axes[lead + i + k] = axes[lead + i + k], axes[lead + i]
+    return t.transpose(axes).reshape(a.shape)
 
 
 def lift(op, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:
@@ -144,16 +158,17 @@ def lift(op, sites: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     The result acts as `op` on the tensor factors named by `sites` and as the
     identity elsewhere, with factors in the natural 0..k-1 order.
     """
-    a = as_matrix(op)
-    sites = [int(s) for s in sites]
+    a = _as_stack(op)
+    sites = [_check_index(int(s), len(dims)) for s in sites]
     if len(set(sites)) != len(sites):
         raise ValueError("duplicate site index")
     d_sites = math.prod(dims[s] for s in sites)
-    if a.shape != (d_sites, d_sites):
+    if a.shape[-2:] != (d_sites, d_sites):
         raise ValueError(
             f"operator shape {a.shape} does not match sites {sites} of dims {list(dims)}"
         )
     rest = [i for i in range(len(dims)) if i not in sites]
+    # Exact on a stack too: every entry is one product with 1 or 0.
     full = np.kron(a, identity_matrix(math.prod([dims[i] for i in rest] or [1])))
     order = sites + rest
     perm = [order.index(i) for i in range(len(dims))]

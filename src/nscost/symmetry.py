@@ -233,11 +233,11 @@ def classical_cost_lp(
     v = hp.variable(np.eye(n_out))
     y = hp.variable(np.eye(n_in * n_out))  # Y_xy at x * n_out + y
     hp.add_lmi(v)
-    hp.add_lmi(v.map(np.sum) - 1.0)
+    hp.add_lmi(v.map(np.sum, -1) - 1.0)
     hp.add_lmi(y)
     hp.add_lmi(y - mat.reshape(-1) + v.map(np.tile, n_in))
-    hp.add_lmi(eps - y.map(lambda a: a.reshape(n_in, n_out).sum(axis=1)))
-    hp.minimize(v.map(np.sum))
+    hp.add_lmi(eps - y.map(lambda a: a.reshape(*a.shape[:-1], n_in, n_out).sum(axis=-1)))
+    hp.minimize(v.map(np.sum, -1))
     return cost_result_from_trv(_run(hp, dump_path=dump_path, **solve_kw))
 
 

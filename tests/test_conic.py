@@ -121,7 +121,7 @@ def maxinfo_dual(j, basis=None, weight=None):
     prog = HermitianProgram()
     v = prog.variable(basis)
     prog.add_lmi(v.map(lift, [1], [2, 2]) - j)
-    prog.minimize(v.map(lambda a: np.trace(weight @ a)))
+    prog.minimize(v.map(lambda a: np.trace(weight @ a, axis1=-2, axis2=-1)))
     return prog, v
 
 
@@ -287,7 +287,7 @@ class TestSolveBasics:
         prog = HermitianProgram()
         x = prog.variable([np.eye(2), np.array([[0.0, math.inf], [math.inf, 0.0]])])
         prog.add_lmi(x)
-        prog.minimize(x.map(np.trace))
+        prog.minimize(x.map(lambda a: np.trace(a, axis1=-2, axis2=-1)))
         with pytest.raises(ValueError, match="constraint 1: SDP entry is not finite"):
             prog.build()
         prog.add_lmi(x - nan_sdp)
@@ -361,6 +361,39 @@ class TestSolveBasics:
         sol = solve(prob)
         assert sol.status == "optimal"
         assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+
+
+class TestBuilder:
+    def test_map_calls_its_function_once_per_term(self):
+        prog = HermitianProgram()
+        x = prog.variable(hermitian_basis(3))
+        y = prog.variable(hermitian_basis(3), np.eye(3))
+        calls = []
+
+        def swap(a):
+            calls.append(a.shape)
+            return np.swapaxes(a, -1, -2)
+
+        image = (x + y).map(swap)
+        assert calls == [(3, 3), (1, 9, 3, 3), (1, 9, 3, 3)]
+        assert image.offset.tobytes() == np.eye(3).tobytes()
+        for stack in image.terms.values():
+            assert stack.tobytes() == np.swapaxes(np.array(hermitian_basis(3)), 1, 2).tobytes()
+
+    @pytest.mark.parametrize("fn", [np.trace, np.transpose])
+    @pytest.mark.parametrize("k", [4, 2])  # with k = 2, as many elements as rows
+    def test_map_rejects_a_function_that_is_not_stack_aware(self, fn, k):
+        prog = HermitianProgram()
+        v = prog.variable(hermitian_basis(2)[:k])  # k elements of 2 x 2
+        with pytest.raises(ValueError, match="fn must act on the last axes"):
+            v.map(fn)
+
+    def test_variable_offset_must_have_the_shape_of_a_basis_element(self):
+        prog = HermitianProgram()
+        with pytest.raises(ValueError, match=r"offset shape \(4, 4\) does not match "
+                                             r"basis element shape \(3, 3\)"):
+            prog.variable(hermitian_basis(3), np.eye(4))
+        assert prog.variable(hermitian_basis(3)).offset.shape == (3, 3)
 
 
 class TestRealForm:
@@ -451,7 +484,7 @@ class TestRealForm:
         prog = HermitianProgram()
         v = prog.variable(basis)
         prog.add_lmi(v - j)
-        prog.minimize(v.map(np.trace))
+        prog.minimize(v.map(lambda a: np.trace(a, axis1=-2, axis2=-1)))
         assert HermitianProgram.is_real(prog.built_objective()) == (where == "row")
         what = "objective" if where == "objective" else f"constraint {len(basis) - 1}"
         with pytest.raises(ValueError, match=f"{what}: SDP entry is not finite"):

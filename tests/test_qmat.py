@@ -151,6 +151,55 @@ class TestSubsystemPermuteAndLift:
         expected = kron(kron(b, np.eye(3)), a)
         assert np.allclose(got, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("sites", [[2], [-1], [0, 5]])
+    def test_lift_rejects_sites_out_of_range(self, sites):
+        with pytest.raises(ValueError, match=f"subsystem index {sites[-1]} out of range for 2"):
+            lift(np.eye(2), sites, [2, 2])
+
+    def test_lift_rejects_duplicate_sites(self):
+        with pytest.raises(ValueError, match="duplicate site index"):
+            lift(np.eye(4), [1, 1], [2, 2])
+
+
+_STACK_MAPS = {
+    "partial_trace": lambda a: partial_trace(a, [2, 3, 2], [0, 2]),
+    "partial_trace_middle": lambda a: partial_trace(a, [2, 3, 2], 1),
+    "partial_transpose": lambda a: partial_transpose(a, [2, 3, 2], [1, 2]),
+    "subsystem_permute": lambda a: subsystem_permute(a, [2, 3, 2], [2, 0, 1]),
+    "lift": lambda a: lift(a, [2, 0], [2, 3, 2]),
+}
+
+
+class TestStacks:
+    """The subsystem maps act on the last two axes and keep the leading ones."""
+
+    @pytest.mark.parametrize("name", sorted(_STACK_MAPS))
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_stack_is_the_per_matrix_loop_bitwise(self, name, is_complex):
+        fn = _STACK_MAPS[name]
+        rng = np.random.default_rng(29)
+        n = 4 if name == "lift" else 12
+        stack = rng.standard_normal((5, n, n))
+        if is_complex:
+            stack = stack + 1j * rng.standard_normal((5, n, n))
+        # Signed zeros too: a map that adds where the loop copies shows here.
+        stack[:, 0, :] = -0.0
+        got = fn(stack)
+        loop = np.stack([fn(a) for a in stack])
+        assert got.shape == loop.shape and got.dtype == loop.dtype
+        assert got.tobytes() == loop.tobytes()
+        deeper = fn(np.stack([stack, stack[::-1]]))
+        assert deeper.tobytes() == np.stack([got, got[::-1]]).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_STACK_MAPS))
+    def test_non_square_and_one_dimensional_input_are_rejected(self, name):
+        fn = _STACK_MAPS[name]
+        n = 4 if name == "lift" else 12
+        with pytest.raises(ValueError, match="does not match"):
+            fn(np.zeros((3, n, n + 1)))
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            fn(np.zeros(n))
+
 
 class TestChoiOfKraus:
     def test_identity_kraus(self):
