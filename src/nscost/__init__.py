@@ -59,6 +59,7 @@ from nscost.qmat import (
 from nscost.symmetry import (
     classical_cost_lp,
     depolarizing_cost_lp,
+    depolarizing_log2_trv,
     depolarizing_mutual_info,
     depolarizing_sweep,
 )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import functools
 import json
 import os
@@ -34,6 +33,7 @@ from .analytic import certificate, closed_form_cost
 from .conic import SolverFailure
 from .programs import (
     CostResult,
+    _m_star_bits,
     _normalize_code,
     diamond_norm_dist,
     max_information,
@@ -48,8 +48,8 @@ from .qmat import QuantumChannel, make_channel
 from .symmetry import (
     classical_cost_lp,
     depolarizing_cost_lp,  # unused here; perfbench/tracing.py patches this name
+    depolarizing_log2_trv,
     depolarizing_mutual_info,
-    depolarizing_sweep,
 )
 
 _FIG2_EPS = (5e-4, 5e-3, 5e-2)
@@ -216,36 +216,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # Sweeps
 
 
-_DEPOL_HEADER = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_use",
-                 "qe_asymptote"]
+_DEPOL_HEADER = "n,eps,cost_total_bits,cost_per_use,unceiled_per_use,qe_asymptote"
 
 
-def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[tuple]:
+def _depol_rows(d: int, p: float, eps_values, n_max: int) -> list[str]:
+    """The CSV lines of a depolarizing sweep, read off its log2 tr V table
+    with `cost_result_from_trv`'s rule: tr V = 2^x, half_log_trv = x / 2."""
     # One sweep waterfills every blocklength and tolerance from a few 2-D
     # tables of Bell-spectrum groups; figure2's 900 points to n = 300 take
-    # under 20 ms, so the rows are computed in process: a worker pool would
+    # under 10 ms, so the rows are computed in process: a worker pool would
     # cost more to start than it saves.
     qe = _fmt(depolarizing_mutual_info(d, p) / 2.0)
-    return [
-        (
-            n,
-            repr(eps),
-            _fmt(res.cost_bits),
-            _fmt(res.cost_bits / n),
-            _fmt(res.half_log_trv / n),
-            qe,
-        )
-        for n, costs in enumerate(depolarizing_sweep(n_max, d, p, eps_values), 1)
-        for eps, res in zip(eps_values, costs)
-    ]
+    table = depolarizing_log2_trv(n_max, d, p, eps_values).tolist()
+    eps_reprs = [repr(eps) for eps in eps_values]
+    lines = []
+    for n, row in enumerate(table, 1):
+        for eps, x in zip(eps_reprs, row):
+            bits = _m_star_bits(2.0**x)[1]
+            lines.append(f"{n},{eps},{bits:.6f},{bits / n:.6f},{0.5 * x / n:.6f},{qe}")
+    return lines
 
 
-def _figure3_rows(task) -> list[tuple]:
-    """The rows of one family: its grid of channels, solved as one batch."""
+def _figure3_rows(task) -> list[str]:
+    """The CSV lines of one family: its grid of channels, solved as one batch."""
     family, params, d, solver_kw = task
     channels = [_make_named_channel(family, d, param, param) for param in params]
     costs = zero_error_costs(channels, **solver_kw)
-    return [(family, _fmt(p), _fmt(c.half_log_trv)) for p, c in zip(params, costs)]
+    return [f"{family},{p:.6f},{c.half_log_trv:.6f}" for p, c in zip(params, costs)]
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:
@@ -255,11 +252,11 @@ def _run_tasks(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: str, header: str, lines: list[str]) -> None:
+    """Write a CSV file in one call. No field needs quoting: each is a
+    number, the repr of a float or a family name."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join([header, *lines, ""]))
 
 
 def emit_figure2(
@@ -273,7 +270,8 @@ def emit_figure2(
     """Write the per-use depolarizing cost curves to a CSV file.
 
     One row per blocklength n in 1..n_max and tolerance eps, columns
-    n, eps, cost_total_bits, cost_per_use, unceiled_per_use, qe_asymptote.
+    n, eps, cost_total_bits, cost_per_use, unceiled_per_use, qe_asymptote;
+    a tolerance that eps_list repeats is rejected, as it would repeat rows.
     All rows are computed before the file is opened, so a failing point
     leaves no partial file behind. Returns the number of rows written.
     """
@@ -283,6 +281,9 @@ def emit_figure2(
     eps_values = tuple(float(e) for e in eps_list)
     if not eps_values:
         raise ValueError("eps_list must name at least one tolerance")
+    for i, eps in enumerate(eps_values):
+        if eps in eps_values[:i]:
+            raise ValueError(f"eps_list repeats the tolerance {eps!r}")
     rows = _depol_rows(d, p, eps_values, n_max)
     _write_csv(path, _DEPOL_HEADER, rows)
     return len(rows)
@@ -313,7 +314,7 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
         for i, fam in enumerate(families)
     ]
     rows = [row for rows in _run_tasks(_figure3_rows, tasks, args.jobs) for row in rows]
-    _write_csv(args.out, ["family", "param", "cost_bits"], rows)
+    _write_csv(args.out, "family,param,cost_bits", rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -111,19 +111,22 @@ class CertificateCheck:
     gap: float
 
 
-def _ceil_sqrt(tr_v: float) -> int:
-    """Smallest positive integer m with m^2 >= tr_v - 1e-6.
+def _m_star_bits(tr_v: float) -> tuple[int, float]:
+    """m*, the smallest positive integer m with m^2 >= tr_v - 1e-6, and the
+    ceiled cost log2 m* in bits.
 
-    Uses integer arithmetic so the answer stays exact even when tr_v is
+    Uses integer arithmetic so m* stays exact even when tr_v is
     astronomically large (many-use simulation costs reach 2^500 and beyond).
+    tr_v must be a Python float: a numpy scalar would turn the integer
+    comparison into a float64 one, which rounds m^2 once it passes 2^53.
     """
     target = tr_v - _MSTAR_SLACK
     if target <= 1.0:
-        return 1
+        return 1, 0.0
     m = math.isqrt(math.ceil(target))
     if m * m < target:
         m += 1
-    return max(m, 1)
+    return m, math.log2(m)
 
 
 def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostResult:
@@ -134,16 +137,13 @@ def cost_result_from_trv(tr_v: float, *, log2_trv: float | None = None) -> CostR
         log2_trv: optional exact log2 of tr_v, preferred when the caller
             already works in the log domain (large blocklengths).
     """
-    # A numpy scalar would turn _ceil_sqrt's integer comparison into a
-    # float64 one, which rounds m^2 once it passes 2^53.
-    tr_v = float(tr_v)
+    tr_v = float(tr_v)  # see _m_star_bits
     if not tr_v > 0.0:
         raise ValueError(f"tr V must be positive, got {tr_v}")
     if log2_trv is None:
         log2_trv = math.log2(tr_v)
     half = 0.5 * float(log2_trv)
-    m_star = _ceil_sqrt(tr_v)
-    cost_bits = math.log2(m_star)
+    m_star, cost_bits = _m_star_bits(tr_v)
     return CostResult(
         tr_v_opt=tr_v,
         half_log_trv=half,

@@ -18,13 +18,15 @@ assembled in the log domain: group sizes and values span thousands of
 orders of magnitude long before n reaches 300, and t* itself can lie far
 below the range of double precision even though D^2 t* stays moderate.
 
-One core prices a whole sweep: `depolarizing_sweep` stacks the groups of
-many blocklengths into one 2-D table, a row per blocklength padded with
-empty groups, and `_waterfill` places the level of every row at every
-tolerance in one array pass. The sweep takes its blocklengths in chunks
-whose table stays under a fixed number of entries, so its memory does not
-grow with n_max; `depolarizing_cost_lp` is the same core on the one row n.
-Each row's group masses are checked to sum to 1.
+One core prices a whole sweep: `depolarizing_log2_trv` returns log2 tr V
+as a (blocklengths, tolerances) table. It stacks the groups of many
+blocklengths into one 2-D table, a row per blocklength padded with empty
+groups, and `_waterfill` places the level of every row at every tolerance
+in one array pass. The blocklengths go in chunks whose table stays under a
+fixed number of entries, so memory does not grow with n_max. Each row's
+group masses are checked to sum to 1. `depolarizing_sweep` and
+`depolarizing_cost_lp` wrap rows of that table in CostResults; the CLI
+writes its CSVs from the table directly.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     """
     n, d, p = _check_dp_args(n, d, p)
     eps = _unit_interval("eps", eps)
-    return _depolarizing_costs(n, n, d, p, (eps,))[0][0]
+    return _cost_results(_log2_trv_table(n, n, d, p, (eps,)))[0][0]
 
 
 def depolarizing_sweep(
@@ -89,9 +91,16 @@ def depolarizing_sweep(
     """`depolarizing_cost_lp` at n = 1..n_max and every tolerance.
 
     Entry n - 1 holds one CostResult per entry of eps_values, each equal to
-    `depolarizing_cost_lp(n, d, p, eps)`. Every tolerance of every
-    blocklength is waterfilled from one table of groups per chunk of
-    blocklengths.
+    `depolarizing_cost_lp(n, d, p, eps)`: row n - 1 of
+    `depolarizing_log2_trv`, wrapped.
+    """
+    return _cost_results(depolarizing_log2_trv(n_max, d, p, eps_values))
+
+
+def depolarizing_log2_trv(n_max: int, d: int, p: float, eps_values) -> np.ndarray:
+    """log2 tr V of n = 1..n_max uses at every tolerance, the core of
+    `depolarizing_sweep`: entry [n - 1, i] is the log2_trv of
+    `depolarizing_cost_lp(n, d, p, eps_values[i])`.
 
     Raises:
         ValueError: on invalid arguments, or when log2 tr V would exceed the
@@ -100,12 +109,17 @@ def depolarizing_sweep(
     """
     n_max, d, p = _check_dp_args(n_max, d, p)
     eps_values = tuple(_unit_interval("eps", eps) for eps in eps_values)
-    return _depolarizing_costs(1, n_max, d, p, eps_values)
+    return _log2_trv_table(1, n_max, d, p, eps_values)
 
 
-def _depolarizing_costs(n_lo: int, n_hi: int, d: int, p: float, eps_values):
-    """The costs of n = n_lo..n_hi uses at each tolerance, as
-    `depolarizing_cost_lp` documents: one tuple per blocklength."""
+def _cost_results(log2_trv: np.ndarray) -> list[tuple[CostResult, ...]]:
+    return [tuple(cost_result_from_trv(2.0**x, log2_trv=x) for x in row)
+            for row in log2_trv.tolist()]
+
+
+def _log2_trv_table(n_lo: int, n_hi: int, d: int, p: float, eps_values) -> np.ndarray:
+    """log2 tr V of n = n_lo..n_hi uses at each tolerance, as
+    `depolarizing_cost_lp` documents: one row per blocklength."""
     a, b = _bell_values(d, p)
     ns = np.arange(n_lo, n_hi + 1)
     # tr V at eps = 0 is (d^2 a)^n; one product makes it 1 exactly at p = 1.
@@ -140,10 +154,7 @@ def _depolarizing_costs(n_lo: int, n_hi: int, d: int, p: float, eps_values):
     )
     # At or below the floor D^-2 of the level, tr V = 1 exactly: 2n log2 d
     # and log2 t would not cancel in floating point.
-    return [
-        tuple(cost_result_from_trv(2.0**x, log2_trv=x) for x in row)
-        for row in np.maximum(log2_trv, 0.0).tolist()
-    ]
+    return np.maximum(log2_trv, 0.0)
 
 
 def _waterfill(log_size: np.ndarray, log_value: np.ndarray, eps_values) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import nscost.conic
 import nscost.programs
@@ -15,9 +17,13 @@ import nscost.symmetry
 from nscost.analytic import ClosedForm
 from nscost.cli import emit_figure2, run
 from nscost.conic import Block, problem_from_json, solve
-from nscost.programs import one_shot_cost_ns
+from nscost.programs import one_shot_cost_ns, zero_error_costs
 from nscost.qmat import make_channel
-from nscost.symmetry import depolarizing_cost_lp, depolarizing_mutual_info
+from nscost.symmetry import (
+    depolarizing_cost_lp,
+    depolarizing_mutual_info,
+    depolarizing_sweep,
+)
 
 
 def _kv(line):
@@ -148,6 +154,10 @@ def test_usage_errors(capsys):
     # An empty tolerance list is no request for the default one.
     assert run(["figure2", "--out", "/tmp/x.csv", "--eps-list", ""]) == 2
     assert "eps_list must name at least one tolerance" in capsys.readouterr().err
+    # A tolerance may appear once, also when spelled two ways: rows are keyed
+    # by (n, eps).
+    assert run(["figure2", "--out", "/tmp/x.csv", "--eps-list", "0.05,5e-2"]) == 2
+    assert "eps_list repeats the tolerance 0.05" in capsys.readouterr().err
     # Invalid solver options are usage errors, found before any iteration.
     zero = ["zero-error", "--family", "depolarizing", "--p", "0.1"]
     assert run([*zero, "--gap-tol", "-1"]) == 2
@@ -326,8 +336,9 @@ def test_figure3_deterministic_across_jobs(tmp_path, capsys):
 
 def test_figure2_failure_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "never.csv"
-    # At d = 4 the point n = 270 overflows double precision after the rows
-    # for n < 270 are computed; none of them may reach the file.
+    # At d = 4 the point n = 270 overflows double precision. The overflow is
+    # found over all blocklengths before any table is built, and no row may
+    # reach the file.
     code = run(["figure2", "--d", "4", "--n-max", "300", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == (
@@ -350,6 +361,68 @@ def test_emit_figure2_public_function(tmp_path):
     assert count == 3
     _, rows = _read_csv(out)
     assert [int(row[0]) for row in rows] == [1, 2, 3]
+    with pytest.raises(ValueError, match="repeats the tolerance 0.05"):
+        emit_figure2(0.15, [5e-2, 0.01, 0.05], 3, str(out))
+
+
+def _csv_writer_bytes(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _sweep_csv_by_objects(d, p, eps_values, n_max) -> bytes:
+    """A depolarizing sweep CSV made from depolarizing_sweep's CostResults
+    and csv.writer."""
+    qe = f"{depolarizing_mutual_info(d, p) / 2.0:.6f}"
+    rows = [
+        (n, repr(eps), f"{res.cost_bits:.6f}", f"{res.cost_bits / n:.6f}",
+         f"{res.half_log_trv / n:.6f}", qe)
+        for n, costs in enumerate(depolarizing_sweep(n_max, d, p, eps_values), 1)
+        for eps, res in zip(eps_values, costs)
+    ]
+    header = ["n", "eps", "cost_total_bits", "cost_per_use", "unceiled_per_use",
+              "qe_asymptote"]
+    return _csv_writer_bytes(header, rows)
+
+
+def test_sweep_csv_bytes_match_cost_results(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    eps_values = (0.0, 1e-100, 5e-3, 0.5, 1 - 1e-15, 1.0)
+    eps_arg = ",".join(repr(eps) for eps in eps_values)
+    for d in (2, 3, 4):
+        for p in (0.0, 1e-6, 0.15, 0.5, 1.0):
+            if 0.0 < p < 1.0:
+                assert run(["figure2", "--d", str(d), "--p", repr(p), "--eps-list",
+                            eps_arg, "--n-max", "40", "--out", str(out)]) == 0
+                assert out.read_bytes() == _sweep_csv_by_objects(d, p, eps_values, 40)
+            for eps in eps_values:
+                assert run(["depol-scan", "--d", str(d), "--p", repr(p), "--eps",
+                            repr(eps), "--n-max", "12", "--out", str(out)]) == 0
+                assert out.read_bytes() == _sweep_csv_by_objects(d, p, (eps,), 12)
+    # Several chunks of blocklengths, and log2 tr V far past 53 bits, where m*
+    # needs big integers.
+    for p in (0.15, 0.999):
+        assert run(["figure2", "--p", repr(p), "--n-max", "300", "--out", str(out)]) == 0
+        assert out.read_bytes() == _sweep_csv_by_objects(2, p, (5e-4, 5e-3, 5e-2), 300)
+    assert max(r.half_log_trv for r in depolarizing_sweep(300, 2, 0.15, (5e-2,))[-1]) > 100
+    capsys.readouterr()
+
+
+def test_figure3_csv_bytes_match_csv_writer(tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    assert run(["figure3", "--grid", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    params = [i / 4 for i in range(5)]
+    rows = []
+    for family in ("depolarizing", "amplitude_damping", "dephasing", "erasure"):
+        key = "r" if family == "amplitude_damping" else "p"
+        channels = [make_channel(family, d=2, **{key: x}) for x in params]
+        rows += [(family, f"{x:.6f}", f"{c.half_log_trv:.6f}")
+                 for x, c in zip(params, zero_error_costs(channels))]
+    assert out.read_bytes() == _csv_writer_bytes(["family", "param", "cost_bits"], rows)
 
 
 def test_figure3_small_grid(tmp_path, capsys):
