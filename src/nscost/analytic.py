@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .programs import CertificatePair
-from .qmat import _unit_interval
+from .qmat import QUBIT_ONLY_FAMILIES, _unit_interval
 
 _FAMILIES = ("depolarizing", "amplitude_damping", "dephasing", "erasure")
-_QUBIT_ONLY = ("amplitude_damping", "dephasing")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def _check_family_args(family: str, param: float, d: int):
     param = _unit_interval("param", param)
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d}")
-    if family in _QUBIT_ONLY and d != 2:
+    if family in QUBIT_ONLY_FAMILIES and d != 2:
         raise ValueError(f"{family} is qubit-only, got d = {d}")
     return family, param, int(d)
 

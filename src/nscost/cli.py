@@ -44,7 +44,7 @@ from .programs import (
     zero_error_cost,
     zero_error_costs,
 )
-from .qmat import QuantumChannel, make_channel
+from .qmat import QUBIT_ONLY_FAMILIES, QuantumChannel, make_channel
 from .symmetry import (
     classical_cost_lp,
     depolarizing_cost_lp,  # unused here; perfbench/tracing.py patches this name
@@ -99,12 +99,17 @@ def _load_choi_file(path: str) -> QuantumChannel:
     return QuantumChannel(dim_in=dim_in, dim_out=dim_out, choi=re + 1j * im)
 
 
+def _family_name(name: str) -> str:
+    """make_channel's spelling of a family name: amplitude-damping is amplitude_damping."""
+    return name.strip().lower().replace("-", "_")
+
+
 def _make_named_channel(
     name: str, d: int, p: float | None, r: float | None
 ) -> QuantumChannel:
     if name.startswith("@"):
         return _load_choi_file(name[1:])
-    family = name.strip().lower().replace("-", "_")
+    family = _family_name(name)
     if family == "identity":
         return make_channel("identity", d=d)
     if family in ("depolarizing", "erasure", "dephasing"):
@@ -194,7 +199,7 @@ def _cmd_classical_lp(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    family = args.family.strip().lower().replace("-", "_")
+    family = _family_name(args.family)
     param = args.r if family == "amplitude_damping" else args.p
     if param is None:
         raise ValueError("verify requires the family's noise parameter (--p or --r)")
@@ -304,7 +309,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
     params = [i / (args.grid - 1) for i in range(args.grid)]
-    families = _FIG3_FAMILIES if args.d == 2 else ("depolarizing", "erasure")
+    families = [f for f in _FIG3_FAMILIES if args.d == 2 or f not in QUBIT_ONLY_FAMILIES]
     solver_kw = _solver_kw(args)
     # One task per family, so the batches are the same at any --jobs. Only
     # the first family dumps its (first) problem.

@@ -1178,7 +1178,9 @@ class HermitianProgram:
 
     def variable(self, basis, offset=None) -> Affine:
         """A new variable offset + sum_k t_k basis[k]; offset defaults to 0
-        and must otherwise have the shape of a basis element."""
+        and must otherwise have the shape of a basis element. An empty basis
+        gives the constant offset: it has no parameters, so no term, which
+        would share its key with the next variable's."""
         basis = np.asarray(basis)
         offset = np.zeros(basis.shape[1:]) if offset is None else np.asarray(offset)
         if offset.shape != basis.shape[1:]:
@@ -1186,7 +1188,7 @@ class HermitianProgram:
                              f"element shape {basis.shape[1:]}")
         start = self._n_params
         self._n_params += len(basis)
-        return Affine(offset, {start: basis})
+        return Affine(offset, {start: basis} if len(basis) else {})
 
     def add_lmi(self, expr: Affine) -> None:
         """Require expr >= 0: PSD for a matrix, entrywise for a vector."""

@@ -55,6 +55,7 @@ from .qmat import (
     QuantumChannel,
     _unit_interval,
     hermitian_basis,
+    is_psd,
     kron,
     lift,
     partial_trace,
@@ -284,7 +285,8 @@ def min_error_simulation(
     Optimizes over all bipartite codes Pi that are no-signalling in both
     directions (code "NS"), or additionally have a positive partial
     transpose over Bob's systems (code "NS_PPT"). The effective channel's
-    Choi matrix enters through the composition identity
+    Choi matrix enters through the composition identity of
+    :func:`choi_compose`,
 
         J_M~ = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi,
 
@@ -315,9 +317,8 @@ def min_error_simulation(
         _product_basis(tuple(dims), ("..11", "T.1T", ".TT1")),
         np.eye(math.prod(dims)) / (d_ao * d_bo),
     )
-    # J_M~ = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi
-    lifted_jn_t = lift(n.choi.T, [2, 1], dims)
-    j_eff = j_pi.map(lambda a: partial_trace(lifted_jn_t @ a, dims, [1, 2]))
+    j_eff = j_pi.map(functools.partial(choi_compose, n.choi),
+                     dict(zip(("A_i", "B_i", "A_o", "B_o"), dims)))
     _add_diamond_ball(hp, j_eff - m.choi, d_ai, d_bo, gamma)
     hp.add_lmi(j_pi)
     if code == "NS_PPT":
@@ -382,30 +383,23 @@ def _noiseless_program(m: int, n: QuantumChannel, code: str) -> HermitianProgram
     return hp
 
 
-@functools.lru_cache(maxsize=16)
-def _zero_error_basis(da: int, db: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hermitian_basis(db), the lifts 1_A (x) B_k and the traces tr B_k, as
-    read-only stacks.
-
-    They parametrize V in the zero-error program and depend only on the
-    dimensions, so every channel of one (d_in, d_out) shares them.
-    """
-    basis = _basis_stack(hermitian_basis, db)
-    lifted, traces = lift(basis, [1], [da, db]), np.trace(basis, axis1=1, axis2=2)
-    for a in (lifted, traces):
-        a.setflags(write=False)
-    return basis, lifted, traces
+@_built_once
+def _lifted_basis(da: int, db: int) -> np.ndarray:
+    """The lifts 1_A (x) B_k of hermitian_basis(db), which parametrize
+    1_A (x) V in the zero-error program for every channel of one shape."""
+    return lift(_basis_stack(hermitian_basis, db), [1], [da, db])
 
 
 def _zero_error_program(n: QuantumChannel) -> tuple[HermitianProgram, Affine]:
     """min { tr V : J_N <= 1_A (x) V }, and its variable V."""
-    basis, lifted, traces = _zero_error_basis(n.dim_in, n.dim_out)
+    basis = _basis_stack(hermitian_basis, n.dim_out)
     hp = HermitianProgram()
     v = hp.variable(basis)
     (start,) = v.terms
+    lifted = _lifted_basis(n.dim_in, n.dim_out)
     one_v = Affine(np.zeros(lifted.shape[1:], dtype=complex), {start: lifted})
     hp.add_lmi(one_v - n.choi)  # 1_A (x) V - J_N
-    hp.minimize(Affine(0.0, {start: traces}))  # tr V
+    hp.minimize(Affine(0.0, {start: np.trace(basis, axis1=1, axis2=2)}))  # tr V
     return hp, v
 
 
@@ -413,11 +407,11 @@ def _zero_error_trvs(channels: list, **solve_kw) -> list:
     """Optimal values of min { tr V : J_N <= 1_A (x) V } for channels of one
     shape, solved in one batch.
 
-    J_N enters the built program only as its objective -F0, so the program
-    is built once for each outcome of the conjugation test on -F0 (real or
-    complex blocks). Every later channel with the same outcome takes that
-    build with its own objective
-    (:meth:`nscost.conic.ConicProblem.with_objective`), and its value is
+    The program's one LMI is 1_A (x) V - J_N, so J_N is its objective -F0
+    and the rest does not depend on the channel. The first channel of each
+    data kind (real or complex blocks, by the conjugation test on J_N)
+    states and builds it; every later one takes that build with J_N as its
+    objective (:meth:`nscost.conic.ConicProblem.with_objective`) and is
     read from that build's program, which has the same offset and kept rows.
     """
     dims = {(n.dim_in, n.dim_out) for n in channels}
@@ -425,12 +419,12 @@ def _zero_error_trvs(channels: list, **solve_kw) -> list:
         raise ValueError(f"channel dimensions differ: {sorted(dims)}")
     built, programs, problems = {}, [], []  # built: real or not -> (program, problem)
     for n in channels:
-        hp = _zero_error_program(n)[0]
-        objective = hp.built_objective()
+        objective = [n.choi]
         real = HermitianProgram.is_real(objective)
         if real in built:
             problems.append(built[real][1].with_objective(objective))
         else:
+            hp = _zero_error_program(n)[0]
             built[real] = hp, hp.build()
             problems.append(built[real][1])
         programs.append(built[real][0])
@@ -510,23 +504,17 @@ def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResul
         if err <= eps + 1e-7:
             chosen = m
             break
-    bits = math.log2(chosen)
-    return CostResult(
-        tr_v_opt=float(chosen * chosen),
-        half_log_trv=bits,
-        m_star=chosen,
-        cost_bits=bits,
-        delta=0.0,
-    )
+    return cost_result_from_trv(float(chosen * chosen), log2_trv=2.0 * math.log2(chosen))
 
 
 def zero_error_costs(channels, **solve_kw) -> list:
     """Zero-error NS-assisted simulation costs of channels of one shape.
 
     The program (see :func:`zero_error_cost`) depends on the channel only
-    through its objective, so it is built once for the channels that give
-    real blocks and once for those that give complex ones; every other
-    channel shares its kind's build, with its own objective. All are solved
+    through its objective, which is J_N itself, so it is stated and built
+    once per data kind: for the first channel whose J_N gives real blocks
+    and for the first that gives complex ones. Every other channel shares
+    its kind's build, with J_N read as its objective. All are solved
     with one :func:`nscost.conic.solve_many` call, and only the first
     problem is dumped. The costs come back in input order, bitwise those of
     :func:`zero_error_cost` on each channel.
@@ -584,11 +572,13 @@ def choi_compose(j_n: np.ndarray, j_pi: np.ndarray, dims: dict) -> np.ndarray:
 
     Args:
         j_n: Choi matrix of the inner channel, on A_o (x) B_i.
-        j_pi: Choi matrix of the bipartite code, ordered (A_i, B_i, A_o, B_o).
+        j_pi: Choi matrix of the bipartite code, ordered (A_i, B_i, A_o, B_o),
+            or a stack of them (..., n, n).
         dims: mapping with integer entries for keys "A_i", "B_i", "A_o", "B_o".
 
     Returns:
-        J = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi on A_i (x) B_o.
+        J = tr_{A_o B_i} (J_N^T (x) 1_{A_i B_o}) J_Pi on A_i (x) B_o, per
+        matrix of a stack.
     """
     try:
         d = [int(dims[k]) for k in ("A_i", "B_i", "A_o", "B_o")]
@@ -602,7 +592,7 @@ def choi_compose(j_n: np.ndarray, j_pi: np.ndarray, dims: dict) -> np.ndarray:
             f"inner Choi shape {j_n.shape} does not match A_o*B_i = {d_ao * d_bi}"
         )
     d_tot = d_ai * d_bi * d_ao * d_bo
-    if j_pi.shape != (d_tot, d_tot):
+    if j_pi.shape[-2:] != (d_tot, d_tot):
         raise ValueError(
             f"code Choi shape {j_pi.shape} does not match total dimension {d_tot}"
         )
@@ -627,15 +617,9 @@ def verify_certificate(n: QuantumChannel, cert: CertificatePair) -> CertificateC
         raise ValueError(
             f"dual X shape {x.shape} does not match input*output dim {da * db}"
         )
-
-    def _feasible_psd(mat: np.ndarray) -> bool:
-        if np.max(np.abs(mat - mat.conj().T)) > _CERT_TOL:
-            return False
-        return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0]) >= -_CERT_TOL
-
-    primal_ok = _feasible_psd(kron(np.eye(da, dtype=np.complex128), v) - n.choi)
-    dual_ok = _feasible_psd(x) and _feasible_psd(
-        np.eye(db, dtype=np.complex128) - partial_trace(x, [da, db], 0)
+    primal_ok = is_psd(kron(np.eye(da, dtype=np.complex128), v) - n.choi, _CERT_TOL)
+    dual_ok = is_psd(x, _CERT_TOL) and is_psd(
+        np.eye(db, dtype=np.complex128) - partial_trace(x, [da, db], 0), _CERT_TOL
     )
     gap = abs(float(np.real(np.trace(v))) - float(np.real(np.trace(n.choi @ x))))
     if primal_ok and dual_ok:

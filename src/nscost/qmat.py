@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "HERMITIAN_TOL",
     "PSD_TOL",
+    "QUBIT_ONLY_FAMILIES",
     "TP_TOL",
     "QuantumChannel",
     "apply_channel",
@@ -42,6 +43,8 @@ __all__ = [
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TP_TOL = 1e-10
+# The families of make_channel that are defined on qubits only.
+QUBIT_ONLY_FAMILIES = ("amplitude_damping", "dephasing")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -330,7 +333,7 @@ def make_channel(
             raise ValueError("d must be positive")
         j = (1.0 - pr) * _identity_choi(d) + (pr / d) * identity_matrix(d * d)
         return QuantumChannel(d, d, j)
-    if family in ("amplitude_damping", "dephasing") and d != 2:
+    if family in QUBIT_ONLY_FAMILIES and d != 2:
         raise ValueError(f"{family} is qubit-only, got d = {d}")
     if family == "amplitude_damping":
         rr = _unit_interval("r", r)

@@ -86,6 +86,20 @@ def test_maxinfo_plain_and_smooth(capsys):
     assert smooth < plain
 
 
+@pytest.mark.parametrize("argv", [
+    ["cost", "--family", "depolarizing", "--d", "1", "--p", "0.3", "--eps", "0.1"],
+    ["cost", "--family", "identity", "--d", "1", "--eps", "0.1"],
+    ["maxinfo", "--family", "identity", "--d", "1", "--eps", "0.2"],
+], ids=["cost-depolarizing", "cost-identity", "maxinfo-identity"])
+def test_one_dimensional_channels_cost_nothing(argv, capsys):
+    # With d_B = 1 the simulating channel J~ = 1_A / d_B has no parameters;
+    # these calls once exited 2 with "constraint 0 has no coefficients".
+    assert run(argv) == 0
+    out = _kv(capsys.readouterr().out.strip())
+    tr_v = float(out["tr_v"]) if "tr_v" in out else 2.0 ** float(out["i_max"])
+    assert abs(tr_v - 1.0) <= 1e-6
+
+
 def test_classical_lp_inline_and_file(tmp_path, capsys):
     assert run(["classical-lp", "--matrix", "0.8,0.2;0.2,0.8", "--eps", "0"]) == 0
     inline = _kv(capsys.readouterr().out.strip())
@@ -224,20 +238,24 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert run(["cost", "--family", "depolarizing", "--p", "0.15"]) == 0
     assert calls == [{}]
-    # figure3 solves each family's grid in one batch, and builds its
-    # program once (every family's channels are real): four families at
-    # d = 2, two at d = 3.
-    builds = []
+    # figure3 solves each family's grid in one batch, and states and builds
+    # its program once (every family's channels are real): four families
+    # at d = 2, two at d = 3.
+    builds, stated = [], []
     build_ = nscost.conic.HermitianProgram.build
     monkeypatch.setattr(nscost.conic.HermitianProgram, "build",
                         lambda hp: builds.append(hp) or build_(hp))
+    program_ = nscost.programs._zero_error_program
+    monkeypatch.setattr(nscost.programs, "_zero_error_program",
+                        lambda n: stated.append(n) or program_(n))
     for d, families in ((2, 4), (3, 2)):
         batches.clear()
         builds.clear()
+        stated.clear()
         assert run(["figure3", "--d", str(d), "--grid", "5", "--jobs", "1",
                     "--out", str(tmp_path / "f3.csv")]) == 0
         assert batches == [5] * families
-        assert len(builds) == families
+        assert len(builds) == len(stated) == families
     capsys.readouterr()
 
 

@@ -395,6 +395,19 @@ class TestBuilder:
             prog.variable(hermitian_basis(3), np.eye(4))
         assert prog.variable(hermitian_basis(3)).offset.shape == (3, 3)
 
+    def test_a_variable_with_an_empty_basis_is_a_constant(self):
+        # It has no parameters, so the next variable starts at its start
+        # index; a term of it there once broadcast b's (1, n, n) stack with
+        # its (0, n, n) one to (0, n, n), and b dropped out of b - a.
+        prog = HermitianProgram()
+        a = prog.variable(np.zeros((0, 2, 2)), np.eye(2))
+        b = prog.variable(hermitian_basis(2)[:1])
+        assert a.terms == {}
+        diff = b - a
+        assert list(diff.terms) == list(b.terms)
+        assert diff.terms[0].tobytes() == b.terms[0].tobytes()
+        assert np.array_equal(diff.offset, -np.eye(2))
+
 
 class TestRealForm:
     SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -1274,6 +1287,34 @@ class TestBacktracking:
         lx, ls = factors[0]
         assert np.array_equal(lx, np.linalg.cholesky(xn[0]))
         assert np.array_equal(ls, np.linalg.cholesky(sn[0]))
+
+    def test_a_failing_lp_entry_shrinks_only_its_instance_step(self):
+        # One 2-entry LP block, two instances. A full step takes instance
+        # 0's first entry to -1 and instance 1's to 1/2.
+        problem = ConicProblem(
+            blocks=(Block("lp", 2),),
+            objective=(np.ones(2),),
+            constraints=(Constraint((np.ones(2),), 2.0),),
+        )
+        std = conic._Standardized([problem, problem])
+        assert [g.sdp for g in std.groups] == [False]
+        one = np.ones(2)
+        x, s = std.grouped([[one, one]]), std.grouped([[one, one]])
+        y, dy = np.zeros((2, 1)), np.ones((2, 1))
+        dx = std.grouped([[np.array([-2.0, 0.0]), np.array([-0.5, 0.0])]])
+        ds = std.grouped([[np.zeros(2), np.zeros(2)]])
+        xn, sn, yn, factors = conic._step(std, x, s, y, dx, ds, dy, np.ones((2, 2)))
+        # Instance 0 takes 0.8^4 of its step, the first that keeps its
+        # entries positive; instance 1 and y take their full steps.
+        shrunk = 1.0
+        for _ in range(4):
+            shrunk *= conic._BACKTRACK
+        assert np.array_equal(xn[0][0], one + shrunk * np.array([-2.0, 0.0]))
+        assert xn[0][0, 0] == pytest.approx(0.1808, abs=1e-15)
+        assert np.array_equal(xn[0][1], [0.5, 1.0])
+        assert np.array_equal(sn[0], s[0])
+        assert np.array_equal(yn, y + dy)
+        assert factors == {}
 
     def test_bounded_number_of_shrinks(self):
         std, x, s, y = self.batch_of_two()

@@ -291,14 +291,20 @@ def test_zero_error_costs_match_single_solves(family, monkeypatch):
         # joins the list, and solves in a group of its own.
         channels.insert(7, random_channel(np.random.default_rng(21), 2, 3, 2))
         assert not np.allclose(channels[7].choi.imag, 0.0)
-    # The batch builds the program once per real/complex decision; every
-    # other channel reuses that build with its own objective.
-    builds = []
+    # The batch states and builds the program once per data kind (real or
+    # complex blocks); every other channel reuses that build, with J_N as
+    # its objective.
+    builds, stated = [], []
     build_ = nscost.conic.HermitianProgram.build
     monkeypatch.setattr(nscost.conic.HermitianProgram, "build",
                         lambda hp: builds.append(hp) or build_(hp))
+    program_ = nscost.programs._zero_error_program
+    monkeypatch.setattr(nscost.programs, "_zero_error_program",
+                        lambda n: stated.append(n) or program_(n))
     batch = zero_error_costs(channels)
-    assert len(builds) == (2 if family == "erasure" else 1)
+    first = [0, 7] if family == "erasure" else [0]  # the first channel of each kind
+    assert len(builds) == len(first)
+    assert [id(n) for n in stated] == [id(channels[i]) for i in first]
     assert len(batch) == len(channels)
     for channel, got in zip(channels, batch):
         want = zero_error_cost(channel)
@@ -414,6 +420,34 @@ def test_ppt_search_never_solves_m_equal_to_dim_in(monkeypatch, channel, calls, 
     assert res.m_star == m_star
 
 
+@pytest.mark.parametrize(
+    "channel, m",
+    [(depol(1.0), 1), (depol(0.15), 2), (make_channel("identity", d=3), 3)],
+    ids=["constant", "qubit", "qutrit-identity"],
+)
+def test_ppt_cost_is_the_cost_of_m_squared(channel, m):
+    # The search's m goes through cost_result_from_trv with log2 tr V =
+    # 2 log2 m, which gives every field exactly as written out here.
+    res = one_shot_cost_ns_ppt(channel, 0.0)
+    want = nscost.programs.CostResult(tr_v_opt=float(m * m), half_log_trv=math.log2(m),
+                                      m_star=m, cost_bits=math.log2(m), delta=0.0)
+    for name in ("tr_v_opt", "half_log_trv", "cost_bits", "delta"):
+        assert np.float64(getattr(res, name)).tobytes() == (
+            np.float64(getattr(want, name)).tobytes()), name
+    assert type(res.m_star) is int and res.m_star == m
+
+
+def test_a_channel_onto_one_dimension_costs_nothing():
+    # The trace 2 -> 1: V and the simulating channel J~ have no free
+    # parameters (d_B = 1). Their empty bases once shared a parameter index
+    # with the next variable, and these calls raised a broadcast error or
+    # "constraint 0 has no coefficients".
+    trace = QuantumChannel(2, 1, np.eye(2))
+    assert abs(min_error_noiseless(1, trace, "NS_PPT")) <= 1e-7
+    assert one_shot_cost_ns_ppt(trace, 0.1).m_star == 1
+    assert abs(one_shot_cost_ns(trace, 0.1).tr_v_opt - 1.0) <= 1e-6
+
+
 def test_ppt_search_with_one_input_dimension_solves_nothing(tmp_path, monkeypatch):
     def no_solve(*args, **kw):
         raise AssertionError("no solve expected")
@@ -507,6 +541,19 @@ def test_choi_compose_random_product_codes():
         assert np.max(np.abs(composed - direct)) <= 1e-10, f"trial {trial}"
 
 
+def test_choi_compose_maps_a_stack_like_each_matrix():
+    # min_error_simulation maps the code variable's stack of basis elements
+    # through choi_compose in one call.
+    rng = np.random.default_rng(11)
+    n = random_channel(rng, 2, 2, 2)
+    dims = {"A_i": 2, "B_i": 2, "A_o": 2, "B_o": 2}
+    stack = rng.standard_normal((5, 16, 16)) + 1j * rng.standard_normal((5, 16, 16))
+    composed = choi_compose(n.choi, stack, dims)
+    assert composed.shape == (5, 4, 4)
+    for j_pi, got in zip(stack, composed):
+        assert got.tobytes() == choi_compose(n.choi, j_pi, dims).tobytes()
+
+
 def test_choi_compose_validates_inputs():
     n = depol(0.2)
     ident = make_channel("identity", d=2)
@@ -517,6 +564,10 @@ def test_choi_compose_validates_inputs():
         choi_compose(np.eye(3), j_pi, dims)
     with pytest.raises(ValueError):
         choi_compose(n.choi, np.eye(8), dims)
+    with pytest.raises(ValueError, match="code Choi shape"):
+        choi_compose(n.choi, np.ones(16), dims)
+    with pytest.raises(ValueError, match="code Choi shape"):
+        choi_compose(n.choi, np.ones((3, 16, 8)), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +776,14 @@ def test_bases_are_kept_read_only_up_to_one_mebibyte():
     small = nscost.programs._basis_stack(hermitian_basis, 16)
     assert small.nbytes == 2**20 and small is nscost.programs._basis_stack(hermitian_basis, 16)
     big = [nscost.programs._product_basis((3, 3, 2), ()) for _ in range(2)]
+    assert big[0].nbytes > 2**20 and big[0] is not big[1]
+    assert big[0].tobytes() == big[1].tobytes()
+    assert not any(a.flags.writeable for a in (small, *big))
+    # The lifts 1_A (x) B_k of the zero-error program follow the same rule.
+    lifted = nscost.programs._lifted_basis
+    small = lifted(4, 8)  # 64 complex 32 x 32 matrices
+    assert small.nbytes == 2**20 and small is lifted(4, 8)
+    big = [lifted(5, 8) for _ in range(2)]
     assert big[0].nbytes > 2**20 and big[0] is not big[1]
     assert big[0].tobytes() == big[1].tobytes()
     assert not any(a.flags.writeable for a in (small, *big))
