@@ -139,7 +139,9 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+    """Six decimals; a value that rounds to zero prints as 0.000000, never
+    -0.000000."""
+    return f"{value:z.6f}"
 
 
 def _cost_line(res: CostResult) -> str:
@@ -247,7 +249,7 @@ def _figure3_rows(task) -> list[str]:
     family, params, d, solver_kw = task
     channels = [_make_named_channel(family, d, param, param) for param in params]
     costs = zero_error_costs(channels, **solver_kw)
-    return [f"{family},{p:.6f},{c.half_log_trv:.6f}" for p, c in zip(params, costs)]
+    return [f"{family},{_fmt(p)},{_fmt(c.half_log_trv)}" for p, c in zip(params, costs)]
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list:

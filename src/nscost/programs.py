@@ -65,6 +65,7 @@ from .qmat import (
 
 _CERT_TOL = 1e-9
 _MSTAR_SLACK = 1e-6
+_ERR_SLACK = 1e-7  # an NS+PPT error up to eps + _ERR_SLACK meets eps
 
 
 @dataclass(frozen=True)
@@ -478,30 +479,64 @@ def one_shot_cost_ns(n: QuantumChannel, eps: float, **solve_kw) -> CostResult:
     return cost_result_from_trv(trv)
 
 
+def _noiseless_error_floor(n: QuantumChannel, ms) -> np.ndarray:
+    """A lower bound on the NS (hence also NS+PPT) error of simulating n with
+    id_m, for each m of `ms`: (lambda_max(J_N) - m^2 sigma^2) / d_in, where
+    sigma is the largest singular value of the top unit eigenvector of J_N
+    read as a d_in x d_out matrix. See :func:`one_shot_cost_ns_ppt`."""
+    w, vecs = np.linalg.eigh(n.choi)
+    sigma = np.linalg.norm(vecs[:, -1].reshape(n.dim_in, n.dim_out), 2)
+    ms = np.asarray(ms, dtype=float)
+    return (w[-1] - ms * ms * sigma * sigma) / n.dim_in
+
+
 def one_shot_cost_ns_ppt(n: QuantumChannel, eps: float, **solve_kw) -> CostResult:
     """One-shot eps-error simulation cost under NS codes with PPT states.
 
     The PPT-constrained cost has no single-program form because the
-    noiseless size m enters both linearly and quadratically, so this runs
-    an integer search: the smallest m in 1..dim_in whose NS-and-PPT
-    simulation error is at most eps (plus a 1e-7 numerical allowance).
-    m = dim_in always succeeds, because sending the input through id_m and
-    applying the channel afterwards is an error-free NS-and-PPT code, so the
-    search solves m = 1..dim_in - 1 only and ends at dim_in without a solve.
-    The m = 1 program is the one dumped, also when it is not solved.
+    noiseless size m enters both linearly and quadratically, so this is an
+    integer search: m* is the smallest m whose NS-and-PPT simulation error
+    (:func:`min_error_noiseless`) is at most eps, plus a 1e-7 numerical
+    allowance. Two certified facts settle most m without a solve.
+
+    The cap. m = min(d_in, d_out) always has an error-free NS-and-PPT code.
+    For m >= d_in, Alice sends the input through id_m and Bob applies N. For
+    m >= d_out, Alice applies N and sends its output through id_m, and Bob
+    keeps it. Both are product codes; Bob's part, transposed on both of his
+    systems, is a transposed Choi matrix and stays PSD, so both are PPT.
+    Hence m* <= min(d_in, d_out), and no m from there on is solved.
+
+    The converse. Take any X >= 0 on A (x) B with tr_A X <= 1_B, and any
+    feasible point (J~, V, Y, gamma) of the NS program of
+    :func:`min_error_noiseless` at m, and let Delta = J~ - J_N. Then
+
+        m^2 = tr V >= tr(X (1_A (x) V)) >= tr(X J~)
+            >= tr(X J_N) - lambda_max(X) tr Delta_-,
+
+    where the first step uses V >= 0 (as 1_A (x) V >= J~ >= 0), and since
+    tr Delta = 0, tr Delta_- = tr Delta_+ <= tr Y <= gamma d_in.
+    So gamma >= (tr(X J_N) - m^2) / (d_in lambda_max(X)). The NS+PPT
+    program only adds constraints, so this bounds its error too. With
+    X = v v^dag / sigma^2, v the top unit eigenvector of J_N and sigma the
+    largest singular value of v read as a d_in x d_out matrix, the bound is
+    (lambda_max(J_N) - m^2 sigma^2) / d_in (:func:`_noiseless_error_floor`).
+    It falls as m grows, so every m below the first whose bound is at most
+    eps + 1e-7 is ruled out.
+
+    Only the m that neither fact decides are solved, in increasing order,
+    and the first whose error meets eps is m*; if none does, m* is the cap.
+    The m = 1 program is the one dumped, also when it is not solved, and
+    the solver options are checked also when no solve runs.
     """
     eps = _unit_interval("eps", eps)
     dump_path = solve_kw.pop("dump_path", None)
-    if n.dim_in == 1:
-        solver_options(**solve_kw)  # no solve runs: check the options here
-        if dump_path is not None:
-            dump_problem(_noiseless_program(1, n, "NS_PPT").build(), dump_path)
-    chosen = n.dim_in
-    for m in range(1, n.dim_in):
-        # Only the first program is dumped.
-        err = min_error_noiseless(m, n, "NS_PPT", dump_path=dump_path, **solve_kw)
-        dump_path = None
-        if err <= eps + 1e-7:
+    solver_options(**solve_kw)
+    if dump_path is not None:
+        dump_problem(_noiseless_program(1, n, "NS_PPT").build(), dump_path)
+    chosen = min(n.dim_in, n.dim_out)
+    ms = np.arange(1, chosen)
+    for m in ms[_noiseless_error_floor(n, ms) <= eps + _ERR_SLACK].tolist():
+        if min_error_noiseless(m, n, "NS_PPT", **solve_kw) <= eps + _ERR_SLACK:
             chosen = m
             break
     return cost_result_from_trv(float(chosen * chosen), log2_trv=2.0 * math.log2(chosen))

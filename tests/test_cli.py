@@ -581,3 +581,29 @@ def test_jobs_env_variable(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     _, rows = _read_csv(out)
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["zero-error", "--family", "identity", "--d", "1"],
+         "tr_v=1.000000 cost_bits=0.000000 delta=0.000000 m_star=1 half_log_trv=0.000000"),
+        (["maxinfo", "--family", "identity", "--d", "1"], "i_max=0.000000"),
+        (["maxinfo", "--family", "identity", "--d", "1", "--eps", "0.2"], "i_max=0.000000"),
+    ],
+    ids=["zero-error", "maxinfo", "maxinfo-eps"],
+)
+def test_a_value_that_rounds_to_zero_prints_without_sign(argv, line, capsys):
+    # The solver returns tr V a hair below 1 for the identity on one
+    # dimension; its log prints as 0.000000, not -0.000000.
+    assert run(argv) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_figure3_rows_print_no_negative_zero(tmp_path, capsys):
+    out = tmp_path / "fig3d1.csv"
+    assert run(["figure3", "--d", "1", "--grid", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    params = ["0.000000", "0.250000", "0.500000", "0.750000", "1.000000"]
+    rows = [f"{family},{p},0.000000" for family in ("depolarizing", "erasure") for p in params]
+    assert out.read_text() == "\n".join(["family,param,cost_bits", *rows, ""])

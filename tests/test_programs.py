@@ -402,11 +402,22 @@ def test_ppt_search_picks_one_for_constant_channel():
 
 
 @pytest.mark.parametrize(
-    "channel, calls, m_star",
-    [(depol(0.15), 1, 2), (depol(0.15, d=3), 2, 3)],
-    ids=["qubit", "qutrit"],
+    "channel, eps, solved, m_star",
+    [
+        (depol(0.15), 0.0, [], 2),
+        (depol(0.15, d=3), 0.0, [], 3),
+        (depol(0.3, d=3), 0.4, [2], 2),
+        (random_channel(np.random.default_rng(0), 3, 2, 2), 0.5, [1], 2),
+        (make_channel("erasure", d=2, p=0.3), 0.5, [1], 2),
+    ],
+    ids=["qubit", "qutrit", "qutrit-open", "3to2", "2to3"],
 )
-def test_ppt_search_never_solves_m_equal_to_dim_in(monkeypatch, channel, calls, m_star):
+def test_ppt_search_never_solves_m_equal_to_dim_in(monkeypatch, channel, eps, solved,
+                                                   m_star):
+    # No m >= min(d_in, d_out) is solved, nor any m the converse rules out:
+    # at eps = 0 it rules out m = 1 on both depolarizing channels and m = 2
+    # on the qutrit one. The 3 -> 2 and 2 -> 3 channels fail at m = 1 and
+    # end at the cap, 2, unsolved.
     sizes = []
 
     def counting(m, *args, **kw):
@@ -414,10 +425,89 @@ def test_ppt_search_never_solves_m_equal_to_dim_in(monkeypatch, channel, calls, 
         return min_error_noiseless(m, *args, **kw)
 
     monkeypatch.setattr(nscost.programs, "min_error_noiseless", counting)
-    res = one_shot_cost_ns_ppt(channel, 0.0)
-    assert len(sizes) == calls
-    assert sizes == list(range(1, calls + 1))
+    res = one_shot_cost_ns_ppt(channel, eps)
+    assert sizes == solved
     assert res.m_star == m_star
+
+
+_FLOOR = nscost.programs._noiseless_error_floor
+_FLOOR_RNG = np.random.default_rng(28)
+_FLOOR_CHANNELS = {
+    "depolarizing-2": depol(0.3),
+    "depolarizing-3": depol(0.3, d=3),
+    "amplitude-damping": make_channel("amplitude_damping", r=0.3),
+    "dephasing": make_channel("dephasing", p=0.2),
+    "erasure-2": make_channel("erasure", d=2, p=0.3),
+    "erasure-3": make_channel("erasure", d=3, p=0.4),
+    "identity-3": make_channel("identity", d=3),
+    **{f"random-{a}to{b}-{i}": random_channel(_FLOOR_RNG, a, b, k)
+       for i, (a, b, k) in enumerate([(2, 2, 2), (3, 2, 2), (3, 2, 3), (2, 3, 1),
+                                      (3, 3, 1), (3, 3, 2)])},
+}
+
+
+@pytest.mark.parametrize("name", list(_FLOOR_CHANNELS))
+def test_noiseless_error_floor_is_below_the_solved_error(name):
+    channel = _FLOOR_CHANNELS[name]
+    ms = list(range(1, channel.dim_in))
+    floors = _FLOOR(channel, ms)
+    assert np.all(np.diff(floors) < 0)
+    for m, floor in zip(ms, floors):
+        for code in ("NS", "NS_PPT"):
+            err = min_error_noiseless(m, channel, code)
+            assert floor <= err + 1e-7, (m, code)
+            if name.startswith("depolarizing"):
+                # There the converse is tight: (d(1 - p) + p/d - m^2/d) / d.
+                assert abs(floor - err) <= 1e-6, (m, code)
+
+
+def _ppt_search_solving_every_m(errors, d_in, eps):
+    """m*, as the search read it when it solved m = 1..d_in - 1 in turn."""
+    return next((m for m, err in enumerate(errors, 1) if err <= eps + 1e-7), d_in)
+
+
+@pytest.mark.parametrize("name", ["depolarizing-2", "depolarizing-3", "amplitude-damping",
+                                  "erasure-3", "random-3to2-1", "random-2to3-3",
+                                  "random-3to3-5"])
+def test_ppt_search_matches_a_search_that_solves_every_m(name):
+    channel = _FLOOR_CHANNELS[name]
+    ms = list(range(1, channel.dim_in))
+    errors = [min_error_noiseless(m, channel, "NS_PPT") for m in ms]
+    floors = _FLOOR(channel, ms).tolist()
+    grid = [0.0, 0.05, 0.3, 0.6, 0.9]
+    grid += [min(max(f + step, 0.0), 1.0) for f in floors for step in (-1e-6, 0.0, 1e-6)]
+    for eps in grid:
+        want = _ppt_search_solving_every_m(errors, channel.dim_in, eps)
+        assert one_shot_cost_ns_ppt(channel, eps).m_star == want, eps
+
+
+@pytest.mark.parametrize(
+    "channel, eps, m_star",
+    [
+        # The cap: min(d_in, d_out) = 1.
+        (QuantumChannel(1, 2, np.diag([0.7, 0.3])), 0.0, 1),
+        # The converse at m = 1 is 0.525 > 0.05, and m = 2 is the cap.
+        (depol(0.3), 0.05, 2),
+    ],
+    ids=["one-input", "converse"],
+)
+def test_ppt_search_that_solves_nothing_checks_options_and_dumps(tmp_path, monkeypatch,
+                                                                 channel, eps, m_star):
+    def no_solve(*args, **kw):
+        raise AssertionError("no solve expected")
+
+    want = tmp_path / "want.json"
+    nscost.conic.dump_problem(
+        nscost.programs._noiseless_program(1, channel, "NS_PPT").build(), str(want))
+    monkeypatch.setattr(nscost.programs, "min_error_noiseless", no_solve)
+    path = tmp_path / "problem.json"
+    assert one_shot_cost_ns_ppt(channel, eps, dump_path=str(path)).m_star == m_star
+    # The m = 1 program is dumped unsolved, and the options are still checked.
+    assert path.read_bytes() == want.read_bytes()
+    with pytest.raises(TypeError, match="bogus_tol"):
+        one_shot_cost_ns_ppt(channel, eps, bogus_tol=1e-9)
+    with pytest.raises(ValueError, match="gap_tol"):
+        one_shot_cost_ns_ppt(channel, eps, gap_tol=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -446,25 +536,6 @@ def test_a_channel_onto_one_dimension_costs_nothing():
     assert abs(min_error_noiseless(1, trace, "NS_PPT")) <= 1e-7
     assert one_shot_cost_ns_ppt(trace, 0.1).m_star == 1
     assert abs(one_shot_cost_ns(trace, 0.1).tr_v_opt - 1.0) <= 1e-6
-
-
-def test_ppt_search_with_one_input_dimension_solves_nothing(tmp_path, monkeypatch):
-    def no_solve(*args, **kw):
-        raise AssertionError("no solve expected")
-
-    monkeypatch.setattr(nscost.programs, "min_error_noiseless", no_solve)
-    prep = QuantumChannel(1, 2, np.diag([0.7, 0.3]))
-    path = tmp_path / "problem.json"
-    res = one_shot_cost_ns_ppt(prep, 0.0, dump_path=str(path))
-    assert res.m_star == 1
-    # The m = 1 program is dumped unsolved, and the options are still checked.
-    assert [b.size for b in problem_from_json(json.loads(path.read_text())).blocks] == [
-        2, 1, 2, 2
-    ]
-    with pytest.raises(TypeError, match="bogus_tol"):
-        one_shot_cost_ns_ppt(prep, 0.0, bogus_tol=1e-9)
-    with pytest.raises(ValueError, match="gap_tol"):
-        one_shot_cost_ns_ppt(prep, 0.0, gap_tol=-1.0)
 
 
 def test_data_processing_reduces_cost():
@@ -849,7 +920,8 @@ _ENTRY_POINTS = {
     ),
     "min_error_noiseless": lambda **kw: min_error_noiseless(2, depol(0.3), **kw),
     "one_shot_cost_ns": lambda **kw: one_shot_cost_ns(depol(0.3), 0.05, **kw),
-    "one_shot_cost_ns_ppt": lambda **kw: one_shot_cost_ns_ppt(depol(0.3), 0.05, **kw),
+    # At eps = 0.6 the NS+PPT search solves m = 1: its converse bound is 0.525.
+    "one_shot_cost_ns_ppt": lambda **kw: one_shot_cost_ns_ppt(depol(0.3), 0.6, **kw),
     "zero_error_cost": lambda **kw: zero_error_cost(depol(0.3), **kw),
     "zero_error_costs": lambda **kw: zero_error_costs([depol(0.3), depol(0.1)], **kw),
     "max_information": lambda **kw: max_information(depol(0.3), **kw),
@@ -865,9 +937,12 @@ def test_unknown_solver_options_raise_type_error():
     for call in _ENTRY_POINTS.values():
         with pytest.raises(TypeError, match="bogus_tol"):
             call(bogus_tol=1e-9)
-    # At eps = 0 the classical cost is a closed form that runs no solve.
+    # Neither the classical cost at eps = 0, a closed form, nor the NS+PPT
+    # search that its bounds decide runs a solve.
     with pytest.raises(TypeError, match="bogus_tol"):
         classical_cost_lp(_CLASSICAL, 0.0, bogus_tol=1e-9)
+    with pytest.raises(TypeError, match="bogus_tol"):
+        one_shot_cost_ns_ppt(depol(0.3), 0.05, bogus_tol=1e-9)
 
 
 def test_solver_options_reach_solve_unchanged(tmp_path, monkeypatch):
