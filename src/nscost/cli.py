@@ -13,9 +13,12 @@ Subcommands:
 
 Channels are named by family (identity, depolarizing, amplitude-damping,
 dephasing, erasure) with parameters --d/--p/--r, or loaded from a JSON Choi
-file given as @path with keys {dim_in, dim_out, re, im}. Exit codes: 0 on
-success, 1 when `verify` finds a mismatch, 2 on usage errors, 3 on solver
-failures.
+file given as @path with keys {dim_in, dim_out, re, im}. A named channel of
+the depolarizing family (identity is p = 0) at d >= 2 is priced from its
+Bell spectrum in cost (NS codes), zero-error, maxinfo and diamond, with no
+solve; other channels, NS+PPT costs and verify go through `programs`.
+Exit codes: 0 on success, 1 when `verify` finds a mismatch, 2 on usage
+errors, 3 on solver failures.
 """
 
 from __future__ import annotations
@@ -30,11 +33,14 @@ import sys
 import numpy as np
 
 from .analytic import certificate, closed_form_cost
-from .conic import SolverFailure
+from .conic import SolverFailure, dump_problem, solver_options
 from .programs import (
     CostResult,
+    _diamond_program,
+    _eps_simulation_program,
     _m_star_bits,
     _normalize_code,
+    _zero_error_program,
     diamond_norm_dist,
     max_information,
     one_shot_cost_ns,
@@ -44,10 +50,11 @@ from .programs import (
     zero_error_cost,
     zero_error_costs,
 )
-from .qmat import QUBIT_ONLY_FAMILIES, QuantumChannel, make_channel
+from .qmat import QUBIT_ONLY_FAMILIES, QuantumChannel, _unit_interval, make_channel
 from .symmetry import (
     classical_cost_lp,
-    depolarizing_cost_lp,  # unused here; perfbench/tracing.py patches this name
+    depolarizing_cost_lp,
+    depolarizing_diamond_dist,
     depolarizing_log2_trv,
     depolarizing_mutual_info,
 )
@@ -123,6 +130,55 @@ def _make_named_channel(
     raise ValueError(f"unknown channel family {name!r}")
 
 
+def _depolarizing_p(name: str, d: int, p: float | None) -> float | None:
+    """The depolarizing parameter of a named channel of the depolarizing
+    family: --p for depolarizing, checked, and 0 for identity.
+
+    None for every other channel, for depolarizing without --p and for
+    d < 2; the general programs price these, and report a missing --p.
+    """
+    family = _family_name(name)
+    if d < 2 or family not in ("identity", "depolarizing"):
+        return None
+    if family == "identity":
+        return 0.0
+    return None if p is None else _unit_interval("p", p)
+
+
+def _without_solve(args: argparse.Namespace, program) -> None:
+    """What the general path does before its solve, for a query answered
+    from the Bell spectrum: write the unsolved program that `program()`
+    states to --dump-problem, and check the solver flags."""
+    solver_kw = _solver_kw(args)
+    dump_path = solver_kw.pop("dump_path", None)
+    if dump_path is not None:
+        dump_problem(program().build(), dump_path)
+    solver_options(**solver_kw)
+
+
+def _spectrum_cost(
+    args: argparse.Namespace, eps: float, code: str = "NS"
+) -> CostResult | None:
+    """The cost at eps of a channel of the depolarizing family under NS
+    codes, by waterfilling its Bell spectrum, or None for any other channel
+    or code class. The channel is checked before the code class, as on the
+    general path."""
+    p = _depolarizing_p(args.family, args.d, args.p)
+    if p is None or _normalize_code(code) != "NS":
+        return None
+    # Called through this module's name: perfbench's tracer wraps it.
+    res = depolarizing_cost_lp(1, args.d, p, eps)
+
+    def program():
+        channel = _make_named_channel(args.family, args.d, args.p, args.r)
+        if eps == 0.0:
+            return _zero_error_program(channel)[0]
+        return _eps_simulation_program(channel, eps)
+
+    _without_solve(args, program)
+    return res
+
+
 def _parse_matrix(text: str) -> np.ndarray:
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
@@ -157,39 +213,53 @@ def _cost_line(res: CostResult) -> str:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    channel = _make_named_channel(args.family, args.d, args.p, args.r)
-    # Read from this module's names at each call: perfbench's tracer wraps them.
-    cost = one_shot_cost_ns if _normalize_code(args.code) == "NS" else one_shot_cost_ns_ppt
-    print(_cost_line(cost(channel, args.eps, **_solver_kw(args))))
+    res = _spectrum_cost(args, args.eps, args.code)
+    if res is None:
+        channel = _make_named_channel(args.family, args.d, args.p, args.r)
+        # Read from this module's names at each call: perfbench's tracer wraps them.
+        code = _normalize_code(args.code)
+        cost = one_shot_cost_ns if code == "NS" else one_shot_cost_ns_ppt
+        res = cost(channel, args.eps, **_solver_kw(args))
+    print(_cost_line(res))
     return 0
 
 
 def _cmd_zero_error(args: argparse.Namespace) -> int:
-    channel = _make_named_channel(args.family, args.d, args.p, args.r)
-    res = zero_error_cost(channel, **_solver_kw(args))
+    res = _spectrum_cost(args, 0.0)
+    if res is None:
+        channel = _make_named_channel(args.family, args.d, args.p, args.r)
+        res = zero_error_cost(channel, **_solver_kw(args))
     print(_cost_line(res))
     return 0
 
 
 def _cmd_diamond(args: argparse.Namespace) -> int:
-    first = _make_named_channel(args.a, args.d, args.p, args.r)
-    second = _make_named_channel(
-        args.b,
-        args.d,
-        args.pb if args.pb is not None else args.p,
-        args.rb if args.rb is not None else args.r,
-    )
-    value = diamond_norm_dist(first, second, **_solver_kw(args))
+    p_b = args.p if args.pb is None else args.pb
+    r_b = args.r if args.rb is None else args.rb
+    first = functools.partial(_make_named_channel, args.a, args.d, args.p, args.r)
+    second = functools.partial(_make_named_channel, args.b, args.d, p_b, r_b)
+    p_first = _depolarizing_p(args.a, args.d, args.p)
+    p_second = None if p_first is None else _depolarizing_p(args.b, args.d, p_b)
+    if p_second is None:
+        value = diamond_norm_dist(first(), second(), **_solver_kw(args))
+    else:
+        value = depolarizing_diamond_dist(args.d, p_first, p_second)
+        _without_solve(args, lambda: _diamond_program(first(), second()))
     print(f"half_diamond_dist={_fmt(value)}")
     return 0
 
 
 def _cmd_maxinfo(args: argparse.Namespace) -> int:
-    channel = _make_named_channel(args.family, args.d, args.p, args.r)
-    if not args.eps:
-        value = max_information(channel, **_solver_kw(args))
+    # An omitted or zero --eps asks for the plain max-information.
+    res = _spectrum_cost(args, args.eps or 0.0)
+    if res is not None:
+        value = 2.0 * res.half_log_trv  # log2 tr V
     else:
-        value = smooth_max_information(channel, args.eps, **_solver_kw(args))
+        channel = _make_named_channel(args.family, args.d, args.p, args.r)
+        if not args.eps:
+            value = max_information(channel, **_solver_kw(args))
+        else:
+            value = smooth_max_information(channel, args.eps, **_solver_kw(args))
     print(f"i_max={_fmt(value)}")
     return 0
 

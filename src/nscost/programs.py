@@ -263,6 +263,11 @@ def diamond_norm_dist(n1: QuantumChannel, n2: QuantumChannel, **solve_kw) -> flo
         ValueError: if the channels' dimensions differ.
         SolverFailure: if the interior-point solve does not reach optimality.
     """
+    return _run(_diamond_program(n1, n2), **solve_kw)
+
+
+def _diamond_program(n1: QuantumChannel, n2: QuantumChannel) -> HermitianProgram:
+    """The program of :func:`diamond_norm_dist`, unsolved."""
     if (n1.dim_in, n1.dim_out) != (n2.dim_in, n2.dim_out):
         raise ValueError(
             f"channel dimensions differ: {(n1.dim_in, n1.dim_out)} vs "
@@ -272,7 +277,7 @@ def diamond_norm_dist(n1: QuantumChannel, n2: QuantumChannel, **solve_kw) -> flo
     gamma = hp.variable([1.0])
     _add_diamond_ball(hp, n1.choi - n2.choi, n1.dim_in, n1.dim_out, gamma)
     hp.minimize(gamma)
-    return _run(hp, **solve_kw)
+    return hp
 
 
 def min_error_simulation(
@@ -449,6 +454,11 @@ def _eps_simulation_trv(n: QuantumChannel, eps: float, **solve_kw) -> float:
     At eps = 0 the Y block is forced to vanish; callers route that case to
     :func:`_zero_error_trv`, whose feasible set keeps an interior.
     """
+    return _run(_eps_simulation_program(n, eps), **solve_kw)
+
+
+def _eps_simulation_program(n: QuantumChannel, eps: float) -> HermitianProgram:
+    """The program of :func:`_eps_simulation_trv`, unsolved."""
     da, db = n.dim_in, n.dim_out
     hp = HermitianProgram()
     jt = _channel_variable(hp, da, db)
@@ -457,7 +467,7 @@ def _eps_simulation_trv(n: QuantumChannel, eps: float, **solve_kw) -> float:
     hp.add_lmi(jt)
     hp.add_lmi(v.map(lift, [1], [da, db]) - jt)
     hp.minimize(v.map(lambda a: np.trace(a, axis1=-2, axis2=-1)))
-    return _run(hp, **solve_kw)
+    return hp
 
 
 def _trv_at_eps(n: QuantumChannel, eps: float, **solve_kw) -> float:

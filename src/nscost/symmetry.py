@@ -27,6 +27,13 @@ fixed number of entries, so memory does not grow with n_max. Each row's
 group masses are checked to sum to 1. `depolarizing_sweep` and
 `depolarizing_cost_lp` wrap rows of that table in CostResults; the CLI
 writes its CSVs from the table directly.
+
+The same spectrum prices every one-use query on the family with no solve:
+`depolarizing_cost_lp(1, d, p, eps)` is the NS cost at eps, its
+log2 tr V is the (smooth) max-information, and at eps = 0 it is the
+zero-error cost (tr V = d^2 a). The half diamond distance of two members
+of the family is half the l1 distance of their Bell spectra,
+|p_a - p_b| (1 - 1/d^2) (`depolarizing_diamond_dist`).
 """
 
 from __future__ import annotations
@@ -83,6 +90,36 @@ def depolarizing_cost_lp(n: int, d: int, p: float, eps: float) -> CostResult:
     n, d, p = _check_dp_args(n, d, p)
     eps = _unit_interval("eps", eps)
     return _cost_results(_log2_trv_table(n, n, d, p, (eps,)))[0][0]
+
+
+def depolarizing_diamond_dist(d: int, p_a: float, p_b: float) -> float:
+    """Half the diamond-norm distance between the depolarizing channels
+    D_(p_a) and D_(p_b) on dimension d: |p_a - p_b| (1 - 1/d^2).
+
+    D_p = (1 - p) id + p R, where R replaces the input by 1/d, so
+    D_a - D_b = (p_b - p_a)(id - R). The Choi matrix J of that difference
+    is Bell-diagonal, d times the difference of the Bell spectra of
+    `_bell_values` on the Bell projectors (the difference is
+    Weyl-covariant), and tr J = 0, so tr J_+ = (1/2) ||J||_1. Both sides of
+    the diamond-norm program of `programs.diamond_norm_dist` meet at
+    tr J_+ / d:
+    - Y = J_+ is feasible: Y >= J, Y >= 0, and tr_B Y = (tr Y / d) 1_A,
+      as each Bell state has the reduced state 1/d. So the half distance
+      is at most tr J_+ / d.
+    - The maximally entangled input gives the output J / d, whose half
+      trace norm is tr J_+ / d. So the half distance is at least that.
+    The half distance is therefore half the l1 distance of the two Bell
+    spectra. For id - R that is (1 - 1/d^2) on the identity Bell state and
+    1/d^2 on each of the d^2 - 1 others, so (1/2) ||id - R||_dia = 1 - 1/d^2.
+
+    Raises:
+        ValueError: if d is not an integer >= 2 or a parameter lies
+            outside [0, 1].
+    """
+    d, p_a = _check_dp(d, p_a)
+    p_b = _check_dp(d, p_b)[1]
+    (a_a, b_a), (a_b, b_b) = _bell_values(d, p_a), _bell_values(d, p_b)
+    return 0.5 * (abs(a_a - a_b) + (d * d - 1) * abs(b_a - b_b))
 
 
 def depolarizing_sweep(

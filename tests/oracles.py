@@ -81,7 +81,17 @@ def kraus_apply(kraus: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
 
 
 def random_kraus(rng: np.random.Generator, dim_in: int, dim_out: int, n_kraus: int):
-    """Random CPTP map via a Haar-ish random isometry, split into Kraus blocks."""
+    """Random CPTP map via a Haar-ish random isometry, split into Kraus blocks.
+
+    The isometry maps dim_in into dim_out * n_kraus dimensions, so it exists
+    only for n_kraus >= ceil(dim_in / dim_out); fewer raise ValueError.
+    """
+    if dim_out * n_kraus < dim_in:
+        least = -(-dim_in // dim_out)
+        raise ValueError(
+            f"a channel from dimension {dim_in} to {dim_out} needs Kraus rank "
+            f"at least {least}, got {n_kraus}"
+        )
     g = rng.standard_normal((dim_out * n_kraus, dim_in)) + 1j * rng.standard_normal(
         (dim_out * n_kraus, dim_in)
     )

@@ -17,7 +17,14 @@ import nscost.symmetry
 from nscost.analytic import ClosedForm
 from nscost.cli import emit_figure2, run
 from nscost.conic import Block, problem_from_json, solve
-from nscost.programs import one_shot_cost_ns, zero_error_costs
+from nscost.programs import (
+    diamond_norm_dist,
+    max_information,
+    one_shot_cost_ns,
+    smooth_max_information,
+    zero_error_cost,
+    zero_error_costs,
+)
 from nscost.qmat import make_channel
 from nscost.symmetry import (
     depolarizing_cost_lp,
@@ -192,15 +199,19 @@ def test_usage_errors(capsys):
 
 
 def test_solver_failure_exit_code(capsys):
-    code = run(["cost", "--family", "depolarizing", "--p", "0.15",
+    code = run(["cost", "--family", "amplitude-damping", "--r", "0.3",
                 "--max-iter", "1"])
     assert code == 3
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record every solve and solve_many call that programs and symmetry
+    make: the options of each call, and the number of problems of each
+    solve_many call."""
     calls = []
-    batches = []  # the number of problems of each solve_many call
+    batches = []
 
     def recorder(solve_):
         def recording_solve(problem, **kw):
@@ -222,8 +233,15 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         nscost.programs, "solve_many", batch_recorder(nscost.programs.solve_many)
     )
+    return calls, batches
+
+
+def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, solver_calls,
+                                              capsys):
+    calls, batches = solver_calls
+    ad = ["cost", "--family", "amplitude-damping", "--r", "0.3"]
     for argv in (
-        ["cost", "--family", "depolarizing", "--p", "0.15"],
+        ad,
         ["classical-lp", "--matrix", "0.9,0.1;0.2,0.8", "--eps", "0.05"],
         ["figure3", "--grid", "2", "--jobs", "1", "--out", str(tmp_path / "f3.csv")],
     ):
@@ -231,13 +249,19 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
         assert run(argv) == 0
         assert calls and all(kw == {} for kw in calls), argv
     calls.clear()
-    assert run(["cost", "--family", "depolarizing", "--p", "0.15",
-                "--gap-tol", "1e-9"]) == 0
+    assert run([*ad, "--gap-tol", "1e-9"]) == 0
     assert calls == [{"gap_tol": 1e-9}]
     # The parser is shared between calls; a flag given once does not stay.
     calls.clear()
-    assert run(["cost", "--family", "depolarizing", "--p", "0.15"]) == 0
+    assert run(ad) == 0
     assert calls == [{}]
+    # The depolarizing family runs no solve, and still checks the flags.
+    assert run(["cost", "--family", "depolarizing", "--p", "0.15",
+                "--gap-tol", "1e-9"]) == 0
+    assert calls == [{}]
+    assert run(["cost", "--family", "depolarizing", "--p", "0.15",
+                "--gap-tol", "-1"]) == 2
+    assert "gap_tol must be finite and positive" in capsys.readouterr().err
     # figure3 solves each family's grid in one batch, and states and builds
     # its program once (every family's channels are real): four families
     # at d = 2, two at d = 3.
@@ -257,6 +281,116 @@ def test_solver_flags_pass_on_only_when_given(tmp_path, monkeypatch, capsys):
         assert batches == [5] * families
         assert len(builds) == len(stated) == families
     capsys.readouterr()
+
+
+def _cost_text(res):
+    return (f"tr_v={res.tr_v_opt:.6f} cost_bits={res.cost_bits:.6f} "
+            f"delta={res.delta:.6f} m_star={res.m_star} "
+            f"half_log_trv={res.half_log_trv:.6f}")
+
+
+# Queries on the depolarizing family (identity is p = 0) at d >= 2, and the
+# line each prints: from the Bell-spectrum waterfilling, and for diamond from
+# |p_a - p_b| (1 - 1/d^2).
+_SPECTRUM_QUERIES = {
+    "cost": (["cost", "--family", "depolarizing", "--d", "3", "--p", "0.15"],
+             lambda: _cost_text(depolarizing_cost_lp(1, 3, 0.15, 0.0))),
+    "cost-eps": (["cost", "--family", "depolarizing", "--p", "0.15", "--eps", "0.05"],
+                 lambda: _cost_text(depolarizing_cost_lp(1, 2, 0.15, 0.05))),
+    "cost-identity": (["cost", "--family", "identity", "--d", "4", "--eps", "0.3"],
+                      lambda: _cost_text(depolarizing_cost_lp(1, 4, 0.0, 0.3))),
+    "zero-error": (["zero-error", "--family", "depolarizing", "--p", "0.3"],
+                   lambda: _cost_text(depolarizing_cost_lp(1, 2, 0.3, 0.0))),
+    "zero-error-identity": (["zero-error", "--family", "identity", "--d", "3"],
+                            lambda: _cost_text(depolarizing_cost_lp(1, 3, 0.0, 0.0))),
+    "maxinfo": (["maxinfo", "--family", "depolarizing", "--p", "0.15"],
+                lambda: f"i_max={math.log2(3.55):.6f}"),
+    "maxinfo-eps": (
+        ["maxinfo", "--family", "depolarizing", "--d", "3", "--p", "0.5", "--eps", "0.05"],
+        lambda: f"i_max={2 * depolarizing_cost_lp(1, 3, 0.5, 0.05).half_log_trv:.6f}"),
+    "diamond": (["diamond", "--a", "identity", "--b", "depolarizing", "--pb", "0.3"],
+                lambda: f"half_diamond_dist={0.3 * (1 - 1 / 4):.6f}"),
+    "diamond-depolarizing": (
+        ["diamond", "--a", "depolarizing", "--p", "0.1", "--b", "depolarizing",
+         "--pb", "0.6", "--d", "3"],
+        lambda: f"half_diamond_dist={0.5 * (1 - 1 / 9):.6f}"),
+    "diamond-identity": (["diamond", "--a", "identity", "--b", "identity", "--d", "3"],
+                         lambda: "half_diamond_dist=0.000000"),
+}
+
+
+@pytest.mark.parametrize("name", list(_SPECTRUM_QUERIES))
+def test_depolarizing_family_is_priced_without_a_solve(name, solver_calls, capsys):
+    argv, line = _SPECTRUM_QUERIES[name]
+    calls, _ = solver_calls
+    assert run(argv) == 0
+    assert capsys.readouterr().out == line() + "\n"
+    assert calls == []
+    # Solver flags are checked all the same, though nothing uses them.
+    assert run([*argv, "--max-iter", "1"]) == 0
+    assert capsys.readouterr().out == line() + "\n"
+    assert run([*argv, "--feas-tol", "0"]) == 2
+    assert "feas_tol must be finite and positive" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost", "--family", "depolarizing", "--d", "1", "--p", "0.3", "--eps", "0.1"],
+    ["maxinfo", "--family", "identity", "--d", "1"],
+    ["cost", "--family", "depolarizing", "--p", "0.15", "--eps", "0.7", "--code", "ns-ppt"],
+    ["verify", "--family", "depolarizing", "--p", "0.2"],
+    ["diamond", "--a", "identity", "--b", "dephasing", "--pb", "0.2"],
+], ids=["d1", "d1-maxinfo", "ns-ppt", "verify", "diamond-dephasing"])
+def test_other_depolarizing_queries_still_solve(argv, solver_calls, capsys):
+    calls, _ = solver_calls
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert calls
+
+
+def test_depolarizing_choi_file_and_figure3_still_solve(tmp_path, solver_calls, capsys):
+    calls, _ = solver_calls
+    channel = make_channel("depolarizing", d=2, p=0.15)
+    path = tmp_path / "depol.json"
+    path.write_text(json.dumps({"dim_in": 2, "dim_out": 2,
+                                "re": channel.choi.real.tolist()}))
+    for argv in (["zero-error", "--family", f"@{path}"],
+                 ["figure3", "--grid", "2", "--jobs", "1",
+                  "--out", str(tmp_path / "f3.csv")]):
+        calls.clear()
+        assert run(argv) == 0
+        assert calls, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, write", [
+    (["cost", "--family", "depolarizing", "--d", "3", "--p", "0.2", "--eps", "0.05"],
+     lambda path: one_shot_cost_ns(make_channel("depolarizing", d=3, p=0.2), 0.05,
+                                   dump_path=path)),
+    (["cost", "--family", "identity", "--eps", "0"],
+     lambda path: one_shot_cost_ns(make_channel("identity", d=2), 0.0, dump_path=path)),
+    (["zero-error", "--family", "depolarizing", "--p", "0.3"],
+     lambda path: zero_error_cost(make_channel("depolarizing", d=2, p=0.3),
+                                  dump_path=path)),
+    (["maxinfo", "--family", "depolarizing", "--p", "0.3"],
+     lambda path: max_information(make_channel("depolarizing", d=2, p=0.3),
+                                  dump_path=path)),
+    (["maxinfo", "--family", "depolarizing", "--p", "0.3", "--eps", "0.1"],
+     lambda path: smooth_max_information(make_channel("depolarizing", d=2, p=0.3), 0.1,
+                                         dump_path=path)),
+    (["diamond", "--a", "identity", "--b", "depolarizing", "--pb", "0.4", "--d", "3"],
+     lambda path: diamond_norm_dist(make_channel("identity", d=3),
+                                    make_channel("depolarizing", d=3, p=0.4),
+                                    dump_path=path)),
+], ids=["cost-eps", "cost-identity", "zero-error", "maxinfo", "maxinfo-eps", "diamond"])
+def test_depolarizing_dump_is_the_program_the_solver_path_dumps(argv, write, tmp_path,
+                                                                 capsys):
+    # The library call states, dumps and solves the program; the CLI answers
+    # from the Bell spectrum and dumps the same program unsolved.
+    assert run([*argv, "--dump-problem", str(tmp_path / "cli.json")]) == 0
+    capsys.readouterr()
+    write(str(tmp_path / "library.json"))
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "library.json").read_bytes()
 
 
 def test_usage_error_leaves_the_parser_usable(capsys):

@@ -339,6 +339,21 @@ class TestApplyChannel:
         assert is_psd(out, 1e-10)
 
 
+class TestRandomChannelOracle:
+    def test_too_few_kraus_operators_name_the_least_rank(self):
+        # 3 -> 2 with one Kraus operator has no isometry; it once failed
+        # downstream with a Kraus-shape mismatch.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="needs Kraus rank at least 2, got 1"):
+            random_channel(rng, 3, 2, 1)
+        with pytest.raises(ValueError, match="at least 3, got 2"):
+            random_kraus(rng, 5, 2, 2)
+
+    def test_least_kraus_rank_builds_a_channel(self):
+        ch = random_channel(np.random.default_rng(0), 3, 2, 2)
+        assert (ch.dim_in, ch.dim_out) == (3, 2)
+
+
 class TestCompositionAndTensor:
     def test_compose_matches_kraus(self):
         rng = np.random.default_rng(41)

@@ -7,11 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
-from nscost.programs import one_shot_cost_ns
+from nscost.programs import (
+    diamond_norm_dist,
+    max_information,
+    one_shot_cost_ns,
+    smooth_max_information,
+    zero_error_cost,
+)
 from nscost.qmat import make_channel, tensor_channels
 from nscost.symmetry import (
     classical_cost_lp,
     depolarizing_cost_lp,
+    depolarizing_diamond_dist,
     depolarizing_mutual_info,
     depolarizing_sweep,
 )
@@ -89,6 +96,45 @@ def test_matches_full_sdp_noiseless_endpoint():
     sdp = one_shot_cost_ns(make_channel("depolarizing", d=2, p=0.0), 0.01)
     assert abs(lp.tr_v_opt - sdp.tr_v_opt) <= 1e-6
     assert abs(lp.tr_v_opt - 3.96) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_use_values_match_the_library_sdps(d):
+    # The CLI prices the family by waterfilling alone; the SDPs stay the
+    # reference, at the ends of both parameter ranges too.
+    def close(sdp_trv, exact_trv):
+        return abs(sdp_trv - exact_trv) <= 1e-7 * exact_trv
+
+    for p in (0.0, 0.15, 0.5, 1.0):
+        channel = make_channel("depolarizing", d=d, p=p)
+        zero = depolarizing_cost_lp(1, d, p, 0.0).tr_v_opt
+        assert abs(zero - (d * d * (1 - p) + p)) <= 1e-12 * zero
+        assert close(zero_error_cost(channel).tr_v_opt, zero), p
+        assert close(2.0 ** max_information(channel), zero), p
+        for eps in (0.0, 1e-6, 0.05, 0.5, 1 - 1e-9):
+            exact = depolarizing_cost_lp(1, d, p, eps).tr_v_opt
+            assert close(one_shot_cost_ns(channel, eps).tr_v_opt, exact), (p, eps)
+            assert close(2.0 ** smooth_max_information(channel, eps), exact), (p, eps)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diamond_distance_matches_the_sdp(d):
+    params = (0.0, 0.15, 0.5, 1.0)
+    identity = make_channel("identity", d=d)
+    for p_a in params:
+        for p_b in params:
+            first = identity if p_a == 0.0 else make_channel("depolarizing", d=d, p=p_a)
+            second = make_channel("depolarizing", d=d, p=p_b)
+            exact = depolarizing_diamond_dist(d, p_a, p_b)
+            assert abs(exact - abs(p_a - p_b) * (1 - 1 / d**2)) <= 1e-15
+            assert abs(diamond_norm_dist(first, second) - exact) <= 1e-7, (p_a, p_b)
+    assert depolarizing_diamond_dist(d, 0.3, 0.3) == 0.0
+
+
+def test_diamond_distance_validates_arguments():
+    for d, p_a, p_b in ((1, 0.1, 0.2), (2.5, 0.1, 0.2), (2, -0.1, 0.2), (2, 0.1, 1.5)):
+        with pytest.raises(ValueError):
+            depolarizing_diamond_dist(d, p_a, p_b)
 
 
 def test_endpoint_values():
